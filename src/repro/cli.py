@@ -100,12 +100,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from types import SimpleNamespace
 from typing import List, Optional
 
 from repro import store as _artifact_store
 from repro.analysis import analyze_upsim
-from repro.core.engine import discover_many
 from repro.core.mapping import ServiceMapping
 from repro.core.pathdiscovery import discover_paths
 from repro.core.pipeline import MethodologyPipeline
@@ -188,6 +186,27 @@ def _add_observability_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=None,
+        help="parallel path-discovery workers (default: serial)",
+    )
+
+
+def _add_dimensions_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--dimensions",
+        default=None,
+        metavar="NAMES",
+        help="comma-separated registered user-perceived dimensions to "
+        "evaluate alongside the availability report "
+        "(see 'upsim dimensions ls'), e.g. "
+        "availability,responsiveness,performability",
+    )
+
+
 def _add_compile_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--reorder",
@@ -227,12 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="only report discovered paths for this atomic service",
     )
-    case.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="parallel path-discovery workers (default: serial)",
-    )
+    _add_jobs_arg(case)
     case.add_argument(
         "--inject",
         action="append",
@@ -249,15 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="availability evaluator: compiled BDD kernel (default), "
         "inclusion-exclusion, or reference state enumeration",
     )
-    case.add_argument(
-        "--dimensions",
-        default=None,
-        metavar="NAMES",
-        help="comma-separated registered user-perceived dimensions to "
-        "evaluate alongside the availability report "
-        "(see 'upsim dimensions ls'), e.g. "
-        "availability,responsiveness,performability",
-    )
+    _add_dimensions_arg(case)
     _add_compile_args(case)
     _add_observability_args(case)
 
@@ -328,12 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     population.add_argument(
         "--top", type=int, default=5, help="worst-served users to list"
     )
-    population.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="parallel path-discovery workers (default: serial)",
-    )
+    _add_jobs_arg(population)
     _add_compile_args(population)
     _add_observability_args(population)
 
@@ -447,12 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
         if with_service:
             p.add_argument("--service", required=True, help="activity name")
             p.add_argument("--mapping", required=True, help="mapping XML file")
-            p.add_argument(
-                "--jobs",
-                type=int,
-                default=None,
-                help="parallel path-discovery workers (default: serial)",
-            )
+            _add_jobs_arg(p)
 
     gen = sub.add_parser("generate", help="generate a UPSIM from model files")
     add_model_args(gen, True)
@@ -480,14 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="bdd",
         help="availability evaluator (default: compiled BDD)",
     )
-    analyze.add_argument(
-        "--dimensions",
-        default=None,
-        metavar="NAMES",
-        help="comma-separated registered user-perceived dimensions to "
-        "evaluate alongside the availability report "
-        "(see 'upsim dimensions ls')",
-    )
+    _add_dimensions_arg(analyze)
 
     validate = sub.add_parser("validate", help="constraint-check a model bundle")
     validate.add_argument("--models", required=True)
@@ -579,33 +568,17 @@ def _parse_dimensions(args: argparse.Namespace) -> Optional[List[str]]:
 
 def cmd_casestudy(args: argparse.Namespace) -> int:
     from repro.casestudy import printing_mapping, printing_service, usi_builder
-    from repro.core.pathdiscovery import PathSet
-    from repro.core.upsim import generate_upsim
-    from repro.vpm import MappingImporter, ModelSpace, UMLImporter
 
-    # One span per methodology step (paper Figure 4): Steps 1-4 construct
-    # the input models, Steps 5-8 are the automated chain.
+    # Steps 1-4 of the methodology (paper Figure 4) build the input models;
+    # the pipeline runs the automated Steps 5-8 under its pipeline.* spans.
     with _trace.span("casestudy.step1_annotate_profiles"):
         builder = usi_builder()
     with _trace.span("casestudy.step2_object_diagram"):
         infrastructure = builder.build()
-    topology = Topology(infrastructure)
-    plan = None
-    if args.inject:
-        from repro.resilience import FaultPlan
-
-        plan = FaultPlan.parse(args.inject)
-        if not plan.is_resolved:
-            plan = plan.at(0)
-        topology = plan.apply(topology)
-        print(f"injected faults: {', '.join(plan.specs())}")
-        print()
     with _trace.span("casestudy.step3_service_description"):
         service = printing_service()
     with _trace.span("casestudy.step4_mapping"):
         mapping = printing_mapping(args.client, args.printer, args.server)
-    print(mapping_table(mapping, title="Service mapping (Table I schema):"))
-    print()
     pairs = mapping.pairs_for_service(service)
     if args.service is not None:
         pairs = [p for p in pairs if p.atomic_service == args.service]
@@ -615,70 +588,44 @@ def cmd_casestudy(args: argparse.Namespace) -> int:
                 f"no mapping pair for atomic service {args.service!r} "
                 f"(known: {known})"
             )
-    with _trace.span("casestudy.step5_import_uml"):
-        space = ModelSpace()
-        importer = UMLImporter(space)
-        importer.import_object_model(infrastructure)
-        importer.import_activity(service.activity)
-    with _trace.span("casestudy.step6_import_mapping"):
-        # pairs naming unknown components are left to Step 7, which
-        # diagnoses them properly (missing endpoint -> PathDiscoveryError)
-        importable = SimpleNamespace(
-            pairs=[
-                p
-                for p in pairs
-                if infrastructure.has_instance(p.requester)
-                and infrastructure.has_instance(p.provider)
-            ]
-        )
-        MappingImporter(space).import_mapping(importable)
-    endpoint_pairs = [(p.requester, p.provider) for p in pairs]
-    with _trace.span(
-        "casestudy.step7_path_discovery", pairs=len(endpoint_pairs)
-    ):
-        if plan is None:
-            discovered = discover_many(topology, endpoint_pairs, jobs=args.jobs)
-            supplied = None
-        else:
-            from repro.resilience import (
-                ResiliencePolicy,
-                discover_many_resilient,
-            )
+    pipeline = (
+        MethodologyPipeline()
+        .set_infrastructure(infrastructure)
+        .set_service(service)
+        .set_mapping(mapping)
+    )
+    plan = policy = None
+    if args.inject:
+        from repro.resilience import FaultPlan, ResiliencePolicy
 
-            outcome = discover_many_resilient(
-                topology,
-                endpoint_pairs,
-                policy=ResiliencePolicy(jobs=args.jobs),
-            )
-            discovered = {
-                pair: outcome.path_sets.get(pair, PathSet(pair[0], pair[1]))
-                for pair in dict.fromkeys(endpoint_pairs)
-            }
-            print("pair diagnostics:")
-            for diagnostic in outcome.diagnostics:
+        plan = FaultPlan.parse(args.inject).at(0)
+        pipeline.set_fault_plan(plan)
+        policy = ResiliencePolicy(jobs=args.jobs)
+    report = pipeline.run(jobs=args.jobs, resilience=policy)
+    for stage in report.stages:
+        if stage.exception is not None:
+            raise stage.exception
+    if plan is not None:
+        print(f"injected faults: {', '.join(plan.specs())}")
+        print()
+    print(mapping_table(mapping, title="Service mapping (Table I schema):"))
+    print()
+    if plan is not None:
+        # diagnostics, like paths, are reported for the selected pairs only
+        selected = {(p.requester, p.provider) for p in pairs}
+        print("pair diagnostics:")
+        for diagnostic in report.diagnostics:
+            if (diagnostic.requester, diagnostic.provider) in selected:
                 print(f"  {diagnostic.describe()}")
-            print()
-            supplied = {
-                p.atomic_service: discovered[(p.requester, p.provider)]
-                for p in pairs
-            }
+        print()
     for pair in pairs:
         print(f"atomic service {pair.atomic_service!r}:")
-        print(paths_text(discovered[(pair.requester, pair.provider)]))
+        print(paths_text(pipeline.path_sets[pair.atomic_service]))
     print()
-    with _trace.span("casestudy.step8_generate_upsim"):
-        upsim = generate_upsim(
-            topology,
-            service,
-            mapping,
-            path_sets=supplied,
-            partial=plan is not None,
-        )
-    print(object_model_text(upsim.model))
+    print(object_model_text(report.upsim.model))
     print()
     print(
-        analyze_upsim(
-            upsim,
+        pipeline.analyze(
             montecarlo_samples=args.mc,
             kernel=args.kernel,
             dimensions=_parse_dimensions(args),

@@ -40,7 +40,8 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, TYPE_CHECKING
+from types import MappingProxyType
+from typing import Dict, Iterator, List, Mapping, Optional, Set, TYPE_CHECKING
 
 from repro.core.engine import discover_many
 from repro.core.mapping import ServiceMapping
@@ -111,6 +112,9 @@ class StageReport:
     #: failure description when the stage failed or was skipped in
     #: resilient mode (``None`` on success or cache reuse)
     error: Optional[str] = None
+    #: the typed exception behind ``error`` when the stage itself raised in
+    #: resilient mode (``None`` on success, cache reuse or a skipped stage)
+    exception: Optional[ReproError] = None
     #: the trace span covering this stage's execution (``None`` when the
     #: stage was reused from cache or tracing is disabled)
     span: Optional[_trace.Span] = None
@@ -403,6 +407,7 @@ class MethodologyPipeline:
                 )
                 if report.stages and report.stages[-1].error is None:
                     report.stages[-1].error = str(exc)
+                    report.stages[-1].exception = exc
                     report.stages[-1].executed = True
                 for stage in STAGES[STAGES.index(failed) + 1 :]:
                     report.stages.append(
@@ -456,18 +461,20 @@ class MethodologyPipeline:
         if "import_mapping" in self._dirty:
             with _executed_stage(report, "import_mapping"):
                 self._clear_namespace(MAPPING_NS)
-                problems = self._mapping.validate_against(
+                # pairs of atomic services the composite never runs are
+                # ignored (Section VI-D): neither validated nor imported;
+                # a service the activity runs twice has one pair
+                relevant = ServiceMapping(
+                    dict.fromkeys(self._mapping.pairs_for_service(self._service))
+                )
+                problems = relevant.validate_against(
                     Topology(self._infrastructure)
                 )
                 if problems:
                     raise MappingError(
                         f"mapping inconsistent with infrastructure: {problems}"
                     )
-                MappingImporter(self.space).import_mapping(
-                    _RelevantPairs(
-                        self._mapping.pairs_for_service(self._service)
-                    )
-                )
+                MappingImporter(self.space).import_mapping(relevant)
                 self._dirty.discard("import_mapping")
         else:
             _reused_stage(report, "import_mapping")
@@ -706,6 +713,14 @@ class MethodologyPipeline:
             "copy-retained", pattern, copy_instance
         ).run(space)
 
+    @property
+    def path_sets(self) -> Mapping[str, PathSet]:
+        """Read-only Step-7 results keyed by atomic service.
+
+        In resilient runs an unreachable pair maps to an *empty*
+        :class:`PathSet`; before the first :meth:`run` the view is empty."""
+        return MappingProxyType(self._path_sets or {})
+
     def stored_paths(self, atomic_service: str) -> List[List[str]]:
         """Paths stored in the model space for *atomic_service* (Step 7)."""
         if self.space is None:
@@ -719,14 +734,3 @@ class MethodologyPipeline:
         container = self.space.entity(f"upsim.{self.upsim.model.name}")
         return sorted(child.name for child in container.children)
 
-
-class _RelevantPairs:
-    """Adapter exposing only the pairs relevant to the analyzed service.
-
-    Irrelevant pairs in the mapping file "will be ignored when the
-    corresponding atomic service is irrelevant for the analyzed service"
-    (Section VI-D) — so only the relevant ones are imported.
-    """
-
-    def __init__(self, pairs):
-        self.pairs = list(pairs)

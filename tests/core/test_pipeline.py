@@ -68,6 +68,24 @@ class TestRun:
         ]
         assert report.upsim is not None
 
+    def test_repeated_atomic_service_imports_one_pair(self, diamond, mapping):
+        from repro.uml.activity import Activity
+
+        repeated = CompositeService(
+            Activity.sequence("fetch", ["auth", "get", "auth"]),
+            [AtomicService("auth"), AtomicService("get")],
+        )
+        pipeline = (
+            MethodologyPipeline()
+            .set_infrastructure(diamond)
+            .set_service(repeated)
+            .set_mapping(mapping)
+        )
+        report = pipeline.run()
+        assert report.upsim is not None
+        assert {"pc", "s"} <= set(report.upsim.component_names)
+        assert len(pipeline.space.relations("requester")) == 2
+
     def test_inconsistent_mapping_rejected(self, diamond, service):
         bad = ServiceMapping(
             [
@@ -201,6 +219,32 @@ class TestUSIIntegration:
         assert second.upsim is not None
         assert "p3" in second.upsim.component_names
         assert "p2" not in second.upsim.component_names
+
+    def test_irrelevant_pair_with_unknown_components_is_ignored(
+        self, usi, printing, table1
+    ):
+        """Step 6 validates only the pairs the service runs (Section
+        VI-D): an extra pair naming absent components changes nothing."""
+        extended = ServiceMapping(
+            [*table1.pairs, ServiceMappingPair("scan_documents", "t99", "x7")]
+        )
+        results = []
+        for mapping in (table1, extended):
+            pipeline = (
+                MethodologyPipeline()
+                .set_infrastructure(usi)
+                .set_service(printing)
+                .set_mapping(mapping)
+            )
+            report = pipeline.run()
+            assert report.upsim is not None
+            results.append(
+                (
+                    report.upsim.signatures(),
+                    pipeline.analyze().service_availability,
+                )
+            )
+        assert results[0] == results[1]
 
 
 class TestAvailabilityKernel:

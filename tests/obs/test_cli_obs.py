@@ -3,7 +3,10 @@
 This is the acceptance criterion verbatim: ``casestudy --trace out.json
 --metrics`` must emit a valid JSON trace containing spans for all eight
 methodology steps (with engine and kernel children beneath them) and a
-Prometheus text block that the round-trip parser accepts.
+Prometheus text block that the round-trip parser accepts.  Steps 1-4 are
+the command's own ``casestudy.step*`` spans; Steps 5-8 run inside
+:class:`~repro.core.pipeline.MethodologyPipeline` and carry its
+``pipeline.*`` stage names.
 """
 
 import json
@@ -19,10 +22,10 @@ EIGHT_STEPS = (
     "casestudy.step2_object_diagram",
     "casestudy.step3_service_description",
     "casestudy.step4_mapping",
-    "casestudy.step5_import_uml",
-    "casestudy.step6_import_mapping",
-    "casestudy.step7_path_discovery",
-    "casestudy.step8_generate_upsim",
+    "pipeline.import_uml",
+    "pipeline.import_mapping",
+    "pipeline.discover_paths",
+    "pipeline.generate_upsim",
 )
 
 
@@ -31,6 +34,20 @@ def _span_names(node, into):
     for child in node.get("children", ()):
         _span_names(child, into)
     return into
+
+
+def _index(trace_path):
+    """Every span of a saved trace, grouped by name."""
+    by_name = {}
+
+    def index(node):
+        by_name.setdefault(node["name"], []).append(node)
+        for child in node.get("children", ()):
+            index(child)
+
+    for root in json.loads(trace_path.read_text())["spans"]:
+        index(root)
+    return by_name
 
 
 @pytest.fixture()
@@ -66,6 +83,9 @@ class TestCasestudyTraceMetrics:
             _span_names(root, names)
         for step in EIGHT_STEPS:
             assert step in names, f"missing span for {step}"
+        # Steps 5-8 are traced once, by the pipeline, never by the command
+        retired = tuple(f"casestudy.step{n}" for n in (5, 6, 7, 8))
+        assert [n for n in names if n.startswith(retired)] == []
         # the automated steps carry engine + kernel children
         assert "engine.discover_many" in names
         assert "engine.discover" in names
@@ -74,20 +94,17 @@ class TestCasestudyTraceMetrics:
 
     def test_step7_nests_engine_spans(self, traced_run):
         _, trace_path, _ = traced_run
-        data = json.loads(trace_path.read_text())
-        by_name = {}
-
-        def index(node):
-            by_name.setdefault(node["name"], []).append(node)
-            for child in node.get("children", ()):
-                index(child)
-
-        for root in data["spans"]:
-            index(root)
-        step7 = by_name["casestudy.step7_path_discovery"][0]
+        step7 = _index(trace_path)["pipeline.discover_paths"][0]
         subtree = _span_names(step7, [])
         assert "engine.discover_many" in subtree
         assert "engine.discover" in subtree
+
+    def test_stage_spans_are_children_of_pipeline_run(self, traced_run):
+        _, trace_path, _ = traced_run
+        (run,) = _index(trace_path)["pipeline.run"]
+        children = [child["name"] for child in run["children"]]
+        for stage in EIGHT_STEPS[4:]:
+            assert stage in children, f"{stage} not under pipeline.run"
 
     def test_metrics_block_passes_round_trip_parser(self, traced_run):
         _, _, out = traced_run
@@ -117,7 +134,7 @@ class TestObsCommand:
         _, trace_path, _ = traced_run
         assert main(["obs", str(trace_path)]) == 0
         out = capsys.readouterr().out
-        assert "casestudy.step7_path_discovery" in out
+        assert "pipeline.discover_paths" in out
         assert "ms" in out
         assert "span" in out  # trailing span-count line
 

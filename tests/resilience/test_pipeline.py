@@ -6,7 +6,11 @@ import pytest
 
 from repro.core.pipeline import MethodologyPipeline
 from repro.core.upsim import generate_upsim
-from repro.errors import PathDiscoveryError, UnreachablePairError
+from repro.errors import (
+    FaultPlanError,
+    PathDiscoveryError,
+    UnreachablePairError,
+)
 from repro.resilience import FaultPlan, ResiliencePolicy
 
 
@@ -65,6 +69,29 @@ class TestResilientMode:
         errored = next(s for s in report.stages if s.stage == "generate_upsim")
         assert "surviving path" in errored.error
         assert len(report.unreachable_pairs()) == len(report.diagnostics)
+
+    def test_failed_stage_carries_typed_exception(self, pipeline):
+        pipeline.set_fault_plan("crash:nope")
+        report = pipeline.run(resilience=ResiliencePolicy())
+        failed = next(s for s in report.stages if s.stage == "discover_paths")
+        assert isinstance(failed.exception, FaultPlanError)
+        assert failed.error == str(failed.exception)
+        skipped = next(s for s in report.stages if s.stage == "generate_upsim")
+        assert skipped.error is not None and skipped.exception is None
+
+        pipeline.set_fault_plan("crash:printS")
+        report = pipeline.run(resilience=ResiliencePolicy())
+        failed = next(s for s in report.stages if s.stage == "generate_upsim")
+        assert isinstance(failed.exception, UnreachablePairError)
+
+    def test_path_sets_keep_unreachable_pairs_empty(self, pipeline):
+        pipeline.set_fault_plan("crash:e3")
+        pipeline.run(resilience=ResiliencePolicy())
+        path_sets = pipeline.path_sets
+        assert len(path_sets["request_printing"]) == 2
+        assert len(path_sets["login_to_printer"]) == 0
+        with pytest.raises(TypeError):
+            path_sets["request_printing"] = path_sets["login_to_printer"]
 
     def test_mode_switch_invalidates_discovery(self, pipeline):
         pipeline.set_fault_plan("crash:e3")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.casestudy import printing_mapping, printing_service, usi_builder
 from repro.cli import main
 from repro.core import ServiceMapping, ServiceMappingPair
 from repro.network import DeviceSpec, TopologyBuilder
@@ -47,10 +48,37 @@ class TestCasestudy:
         assert "t15" in out
         assert "p3" in out
 
-    def test_unknown_client_is_error(self, capsys):
-        # PathDiscoveryError maps to exit code 11 (see repro.cli docstring)
-        assert main(["casestudy", "--client", "t99"]) == 11
-        assert "error:" in capsys.readouterr().err
+    def test_unknown_client_is_error(self, tmp_path, capsys):
+        # Step 6 rejects a mapping naming a component the infrastructure
+        # lacks: MappingError, exit code 6 (see repro.cli docstring) --
+        # the same code from casestudy and from analyze on that mapping
+        assert main(["casestudy", "--client", "t99"]) == 6
+        err = capsys.readouterr().err
+        assert "error:" in err and "t99" in err
+
+        builder = usi_builder()
+        bundle = xmi.ModelBundle(
+            profiles=builder.profiles.as_list(),
+            class_model=builder.class_model,
+            object_model=builder.object_model,
+            activities=[printing_service().activity],
+        )
+        models = tmp_path / "usi.xml"
+        xmi.dump(bundle, str(models))
+        mapping = tmp_path / "mapping.xml"
+        printing_mapping("t99", "p2", "printS").save(str(mapping))
+        argv = ["analyze", "--models", str(models), "--service", "printing"]
+        assert main([*argv, "--mapping", str(mapping)]) == 6
+        err = capsys.readouterr().err
+        assert "error:" in err and "t99" in err
+
+    @pytest.mark.parametrize(
+        ("flags", "code"),
+        [(["--jobs", "-2"], 11), (["--service", "ghost"], 2)],
+    )
+    def test_bad_option_exit_codes(self, flags, code, capsys):
+        assert main(["casestudy", *flags]) == code
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestFileCommands:

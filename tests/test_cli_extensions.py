@@ -51,6 +51,28 @@ class TestImpact:
         assert "c1|c2" in capsys.readouterr().out
 
 
+class TestAnalyzeIgnoresIrrelevantPairs:
+    def test_pair_for_unused_service_with_unknown_components(
+        self, usi_files, capsys
+    ):
+        """Section VI-D: a pair for an atomic service the composite never
+        runs is ignored, even when its components are not in the model."""
+        from repro.core import ServiceMappingPair
+
+        models, mapping, tmp_path = usi_files
+        extended = table1_mapping()
+        extended.add(ServiceMappingPair("scan_documents", "t99", "scanner7"))
+        extended_path = tmp_path / "extended_mapping.xml"
+        extended.save(str(extended_path))
+        argv = ["analyze", "--models", models, "--service", "printing"]
+
+        assert main([*argv, "--mapping", mapping]) == 0
+        plain = capsys.readouterr().out
+        assert main([*argv, "--mapping", str(extended_path)]) == 0
+        assert capsys.readouterr().out == plain
+        assert "service (all pairs)" in plain
+
+
 class TestInventory:
     def test_table_and_articulation_points(self, usi_files, capsys):
         models, _, _ = usi_files
