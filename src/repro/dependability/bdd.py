@@ -71,7 +71,6 @@ __all__ = [
     "BDD",
     "AvailabilityKernel",
     "IncrementalAvailabilityKernel",
-    "perturbed_sweep",
     "evaluate_perturbed_arrays",
     "compile_structure",
     "compile_many",
@@ -743,14 +742,19 @@ class AvailabilityKernel:
     Holds the system root (conjunction over all pair functions) plus one
     root per pair group, all in the same manager — pairs share subgraphs
     wherever their paths share components.  All queries are passes over
-    the linearized DAG:
+    the linearized DAG, and every bottom-up pass is the one module-level
+    per-node loop :func:`_sweep`, fed a float or a k-vector per variable:
 
-    * :meth:`availability` / :meth:`unavailability` — one bottom-up pass;
-    * :meth:`evaluate_all` — the same pass, also reporting every pair root;
-    * :meth:`evaluate_many` — the pass vectorized over k probability
-      vectors (numpy row operations);
-    * :meth:`birnbaum` — one bottom-up plus one top-down pass, giving the
-      importance of **every** variable at once;
+    * :meth:`availability` / :meth:`unavailability` /
+      :meth:`pair_availability` — one scalar pass;
+    * :meth:`evaluate_all` / :meth:`evaluate_vector` — the same pass,
+      also reporting every pair root;
+    * :meth:`evaluate_many` / :meth:`evaluate_many_all` — one pass with a
+      k-vector per variable (k probability vectors at once);
+    * :meth:`evaluate_perturbed` — one pass per chunk with a k-vector at a
+      single variable and floats everywhere else;
+    * :meth:`birnbaum` — the scalar pass plus the one top-down pass,
+      giving the importance of **every** variable at once;
     * :meth:`minimal_cut_sets` / :meth:`minimal_path_sets` — one memoized
       bottom-up recursion.
     """
@@ -869,10 +873,16 @@ class AvailabilityKernel:
             or int(var.max()) >= len(self.variables)
             or int(low.min()) < 0
             or int(high.min()) < 0
-            or int(low.max()) >= n + 2
-            or int(high.max()) >= n + 2
         ):
             raise AnalysisError("flat kernel arrays reference out-of-range ids")
+        # the forward sweep reads both children before writing node i at
+        # position i + 2, so each child must sit strictly below it
+        below = np.arange(2, n + 2)
+        if ((low >= below) | (high >= below)).any():
+            raise AnalysisError(
+                "flat kernel arrays are not bottom-up ordered: a child "
+                "position is not below its parent's"
+            )
         for array in (var, low, high):
             if array.flags.writeable:
                 array.flags.writeable = False
@@ -912,21 +922,15 @@ class AvailabilityKernel:
 
     # -- evaluation -----------------------------------------------------------
 
-    def _values(self, p: np.ndarray) -> List[float]:
+    def _sweep_vector(self, p: np.ndarray) -> List[float]:
         """Bottom-up node probabilities for one probability vector."""
-        values = [0.0] * (len(self._var_ix) + 2)
-        values[1] = 1.0
-        var_ix, low, high = self._var_ix, self._low_pos, self._high_pos
-        for k in range(len(var_ix)):
-            pv = p[var_ix[k]]
-            values[k + 2] = pv * values[high[k]] + (1.0 - pv) * values[low[k]]
-        return values
+        _count_evaluation()
+        return _sweep(self._var_ix, self._low_pos, self._high_pos, p.tolist())
 
     def availability(self, availabilities: Mapping[str, float]) -> float:
         """P(system structure function is true) — one O(|BDD|) pass."""
         p = self.probability_vector(availabilities)
-        _count_evaluation()
-        return self._values(p)[self._root_pos]
+        return self._sweep_vector(p)[self._root_pos]
 
     def unavailability(self, availabilities: Mapping[str, float]) -> float:
         return 1.0 - self.availability(availabilities)
@@ -936,17 +940,13 @@ class AvailabilityKernel:
     ) -> float:
         """Availability of one pair's root (index into the compiled groups)."""
         p = self.probability_vector(availabilities)
-        _count_evaluation()
-        return self._values(p)[self._group_pos[group]]
+        return self._sweep_vector(p)[self._group_pos[group]]
 
     def evaluate_all(
         self, availabilities: Mapping[str, float]
     ) -> Tuple[float, Tuple[float, ...]]:
         """(system availability, per-group availabilities) in one pass."""
-        p = self.probability_vector(availabilities)
-        _count_evaluation()
-        values = self._values(p)
-        return values[self._root_pos], tuple(values[g] for g in self._group_pos)
+        return self._roots(self.probability_vector(availabilities))
 
     def evaluate_vector(
         self, p: np.ndarray
@@ -966,11 +966,37 @@ class AvailabilityKernel:
                 f"probability vector must have shape "
                 f"({len(self.variables)},), got {p.shape}"
             )
-        _count_evaluation()
-        values = self._values(p)
+        return self._roots(p)
+
+    def _roots(self, p: np.ndarray) -> Tuple[float, Tuple[float, ...]]:
+        values = self._sweep_vector(p)
         return values[self._root_pos], tuple(
             values[g] for g in self._group_pos
         )
+
+    def _matrix(
+        self, tables: Union[np.ndarray, Sequence[Mapping[str, float]]]
+    ) -> np.ndarray:
+        """The validated (k, n_variables) float64 matrix for a batch."""
+        if not isinstance(tables, np.ndarray):
+            return np.stack(
+                [self.probability_vector(table) for table in tables]
+            ) if tables else np.empty((0, len(self.variables)))
+        matrix = np.asarray(tables, dtype=np.float64)
+        if matrix.ndim != 2 or matrix.shape[1] != len(self.variables):
+            raise AnalysisError(
+                f"probability matrix must be (k, {len(self.variables)}), "
+                f"got {matrix.shape}"
+            )
+        return matrix
+
+    def _sweep_matrix(self, matrix: np.ndarray) -> List[object]:
+        """Bottom-up node values for a batch: every variable carries its
+        k-column of *matrix* (copied contiguous — strided columns slow
+        every per-node op), so every non-terminal node is a k-vector."""
+        _count_evaluation(matrix.shape[0])
+        rows = list(np.ascontiguousarray(matrix.T))
+        return _sweep(self._var_ix, self._low_pos, self._high_pos, rows)
 
     def evaluate_many(
         self,
@@ -988,40 +1014,10 @@ class AvailabilityKernel:
         matching :meth:`evaluate_perturbed`'s discipline; it must be a
         float64 vector of length k.
         """
-        if isinstance(tables, np.ndarray):
-            matrix = np.asarray(tables, dtype=np.float64)
-            if matrix.ndim != 2 or matrix.shape[1] != len(self.variables):
-                raise AnalysisError(
-                    f"probability matrix must be (k, {len(self.variables)}), "
-                    f"got {matrix.shape}"
-                )
-        else:
-            matrix = np.stack(
-                [self.probability_vector(table) for table in tables]
-            ) if tables else np.empty((0, len(self.variables)))
-        k = matrix.shape[0]
-        if out is not None:
-            if (
-                not isinstance(out, np.ndarray)
-                or out.shape != (k,)
-                or out.dtype != np.float64
-            ):
-                raise AnalysisError(
-                    f"out must be a float64 array of shape ({k},)"
-                )
-        if k == 0:
-            return out if out is not None else np.empty(0, dtype=np.float64)
-        _count_evaluation(k)
-        values = np.empty((len(self._var_ix) + 2, k), dtype=np.float64)
-        values[0] = 0.0
-        values[1] = 1.0
-        var_ix, low, high = self._var_ix, self._low_pos, self._high_pos
-        for i in range(len(var_ix)):
-            pv = matrix[:, var_ix[i]]
-            values[i + 2] = pv * values[high[i]] + (1.0 - pv) * values[low[i]]
-        if out is None:
-            return values[self._root_pos].copy()
-        out[:] = values[self._root_pos]
+        matrix = self._matrix(tables)
+        out = _out_buffer(out, matrix.shape[0])
+        if len(out):
+            out[:] = self._sweep_matrix(matrix)[self._root_pos]
         return out
 
     def evaluate_many_all(
@@ -1032,43 +1028,22 @@ class AvailabilityKernel:
         in one vectorized sweep.
 
         :meth:`evaluate_many` extended with the group roots: the same
-        bottom-up pass over the linearized DAG, but the per-group node
-        values are read off alongside the system root.  This is the
-        one-pass multi-dimension fast path (:mod:`repro.dimensions`
-        stacks one probability table per dimension and evaluates them
-        all in a single traversal).  Returns ``(roots, groups)`` with
-        shapes ``(k,)`` and ``(k, n_groups)``.
+        bottom-up pass, with the per-group node values read off the same
+        node list as the system root.  This is the one-pass
+        multi-dimension fast path (:mod:`repro.dimensions` stacks one
+        probability table per dimension and evaluates them all in a
+        single traversal).  Returns ``(roots, groups)`` with shapes
+        ``(k,)`` and ``(k, n_groups)``.
         """
-        if isinstance(tables, np.ndarray):
-            matrix = np.asarray(tables, dtype=np.float64)
-            if matrix.ndim != 2 or matrix.shape[1] != len(self.variables):
-                raise AnalysisError(
-                    f"probability matrix must be (k, {len(self.variables)}), "
-                    f"got {matrix.shape}"
-                )
-        else:
-            matrix = np.stack(
-                [self.probability_vector(table) for table in tables]
-            ) if tables else np.empty((0, len(self.variables)))
+        matrix = self._matrix(tables)
         k = matrix.shape[0]
-        n_groups = len(self._group_pos)
-        if k == 0:
-            return (
-                np.empty(0, dtype=np.float64),
-                np.empty((0, n_groups), dtype=np.float64),
-            )
-        _count_evaluation(k)
-        values = np.empty((len(self._var_ix) + 2, k), dtype=np.float64)
-        values[0] = 0.0
-        values[1] = 1.0
-        var_ix, low, high = self._var_ix, self._low_pos, self._high_pos
-        for i in range(len(var_ix)):
-            pv = matrix[:, var_ix[i]]
-            values[i + 2] = pv * values[high[i]] + (1.0 - pv) * values[low[i]]
-        roots = values[self._root_pos].copy()
-        groups = np.empty((k, n_groups), dtype=np.float64)
-        for j, pos in enumerate(self._group_pos):
-            groups[:, j] = values[pos]
+        roots = np.empty(k, dtype=np.float64)
+        groups = np.empty((k, len(self._group_pos)), dtype=np.float64)
+        if k:
+            values = self._sweep_matrix(matrix)
+            roots[:] = values[self._root_pos]
+            for j, pos in enumerate(self._group_pos):
+                groups[:, j] = values[pos]
         return roots, groups
 
     def flat_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -1142,8 +1117,8 @@ class AvailabilityKernel:
         is ``Σ_{nodes n labeled v} reach(n)·(P(high) - P(low))``.
         """
         p = self.probability_vector(availabilities)
-        _count_evaluation()
-        values = self._values(p)
+        values = self._sweep_vector(p)
+        rows = p.tolist()
         reach = [0.0] * len(values)
         reach[self._root_pos] = 1.0
         var_ix, low, high = self._var_ix, self._low_pos, self._high_pos
@@ -1156,7 +1131,7 @@ class AvailabilityKernel:
             if r == 0.0:
                 continue
             v = var_ix[k]
-            pv = p[v]
+            pv = rows[v]
             gradient[v] += r * (values[high[k]] - values[low[k]])
             reach[high[k]] += r * pv
             reach[low[k]] += r * (1.0 - pv)
@@ -1227,47 +1202,49 @@ class AvailabilityKernel:
         )
 
 
-# -- perturbed evaluation (shared by kernel method and shard workers) --------
+# -- the bottom-up sweep (shared by every evaluation route) -------------------
 
 
-def perturbed_sweep(
-    var_ix: np.ndarray,
-    low: np.ndarray,
-    high: np.ndarray,
-    root_pos: int,
-    base: np.ndarray,
-    var: int,
-    values: np.ndarray,
-) -> np.ndarray:
-    """One bottom-up sweep with a single vectorized variable.
+def _sweep(
+    var_ix: Sequence[int],
+    low: Sequence[int],
+    high: Sequence[int],
+    rows: Sequence[object],
+) -> List[object]:
+    """Node probabilities of the linearized DAG, bottom-up.
 
-    Every variable carries its scalar ``base`` probability except *var*,
-    which carries the whole *values* vector.  Node results stay Python
-    floats until the sweep first touches *var*; only nodes whose subgraph
-    depends on the perturbed variable ever widen to k-vectors, so memory
-    is proportional to the perturbed cone, not to ``nodes × k``.
+    Position 0/1 hold the FALSE/TRUE terminals and interior node *i*
+    lands at position ``i + 2``; ``rows[v]`` is variable *v*'s
+    probability.  That is a float for scalar evaluation and a k-vector
+    per variable for a batch (``matrix.T``); a perturbed sweep passes
+    floats everywhere but the one perturbed variable.  A node stays a
+    float until a vector reaches it, so memory follows the perturbed
+    cone, not ``nodes × k``.
 
-    This module-level function is the **single implementation** evaluated
-    by :meth:`AvailabilityKernel.evaluate_perturbed` and by the
-    shared-memory shard workers of :mod:`repro.workload.sharding` — both
-    paths run the identical arithmetic, so their results agree bit for
-    bit with each other and (since numpy float64 scalar ops are the same
-    IEEE doubles) with the scalar :meth:`AvailabilityKernel.availability`
-    loop.
+    This is the **only** forward evaluation loop: every route runs the
+    identical per-node arithmetic in the same operand order, so scalar,
+    batch, group, perturbed and shard-worker results agree bit for bit.
     """
-    node_values: List[object] = [0.0] * (len(var_ix) + 2)
-    node_values[1] = 1.0
-    for i in range(len(var_ix)):
-        v = var_ix[i]
-        pv = values if v == var else base[v]
-        node_values[i + 2] = (
-            pv * node_values[high[i]] + (1.0 - pv) * node_values[low[i]]
-        )
-    root = node_values[root_pos]
-    if isinstance(root, np.ndarray):
-        return root
-    # the root never saw the perturbed variable (or k == 0): broadcast
-    return np.full(len(values), float(root))
+    values: List[object] = [0.0, 1.0]
+    append = values.append
+    for v, lo, hi in zip(var_ix, low, high):
+        pv = rows[v]
+        append(pv * values[hi] + (1.0 - pv) * values[lo])
+    return values
+
+
+def _out_buffer(out: Optional[np.ndarray], k: int) -> np.ndarray:
+    """A fresh float64 result vector, or the validated caller buffer —
+    the one ``out=`` contract of the batch and perturbed routes."""
+    if out is None:
+        return np.empty(k, dtype=np.float64)
+    if (
+        not isinstance(out, np.ndarray)
+        or out.shape != (k,)
+        or out.dtype != np.float64
+    ):
+        raise AnalysisError(f"out must be a float64 array of shape ({k},)")
+    return out
 
 
 def evaluate_perturbed_arrays(
@@ -1282,7 +1259,9 @@ def evaluate_perturbed_arrays(
     batch_rows: int = 65536,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Chunked :func:`perturbed_sweep` over raw linearized-DAG arrays.
+    """System availability when every variable holds its *base*
+    probability except *var*, which sweeps over *values* — chunked at
+    *batch_rows* rows over raw linearized-DAG arrays.
 
     Operates purely on arrays (no kernel object), so shard workers can
     call it directly on shared-memory views; *out* (when given) receives
@@ -1291,14 +1270,14 @@ def evaluate_perturbed_arrays(
     """
     if batch_rows < 1:
         raise AnalysisError(f"batch_rows must be >= 1, got {batch_rows}")
-    k = len(values)
-    if out is None:
-        out = np.empty(k, dtype=np.float64)
-    for start in range(0, k, batch_rows):
-        stop = min(start + batch_rows, k)
-        out[start:stop] = perturbed_sweep(
-            var_ix, low, high, root_pos, base, var, values[start:stop]
-        )
+    out = _out_buffer(out, len(values))
+    var_ix, low, high = (np.asarray(a).tolist() for a in (var_ix, low, high))
+    rows: List[object] = np.asarray(base, dtype=np.float64).tolist()
+    for start in range(0, len(values), batch_rows):
+        stop = start + batch_rows
+        rows[var] = values[start:stop]
+        # a root the perturbed variable never reaches is a float: broadcast
+        out[start:stop] = _sweep(var_ix, low, high, rows)[root_pos]
     return out
 
 

@@ -33,6 +33,7 @@ from repro.dependability.bdd import (
     AvailabilityKernel,
     compile_pair,
     compile_structure,
+    evaluate_perturbed_arrays,
     frequency_order,
     kernel_cache_clear,
     kernel_cache_info,
@@ -153,6 +154,45 @@ class TestFamilyEquivalence:
                 paths, up
             ) - pair_availability_reference(paths, down)
             assert gradient[name] == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "reorder", ["none", pytest.param("sift", marks=pytest.mark.reorder)]
+    )
+    def test_routes_agree_bit_for_bit(self, paths, table, reorder):
+        """Every evaluation route runs the same per-node arithmetic in the
+        same operand order, so they agree exactly — not just to 1e-12."""
+        # a second, smaller group keeps group roots distinct from the root
+        kernel = compile_structure([paths, paths[::2]], reorder=reorder)
+        base = kernel.probability_vector(table)
+        matrix = np.random.default_rng(5).uniform(0.5, 1.0, (6, len(base)))
+        matrix[0] = base
+        vectors = [kernel.evaluate_vector(row) for row in matrix]
+        assert vectors[0] == kernel.evaluate_all(table)
+        assert kernel.evaluate_many(matrix).tolist() == [r for r, _ in vectors]
+        roots, groups = kernel.evaluate_many_all(matrix)
+        assert roots.tolist() == [r for r, _ in vectors]
+        assert [tuple(row) for row in groups.tolist()] == [
+            g for _, g in vectors
+        ]
+
+        var, low, high, root_pos = kernel.flat_arrays()
+        flat = AvailabilityKernel.from_flat(
+            var.copy(), low.copy(), high.copy(), root_pos,
+            kernel._group_pos, kernel.variables,
+        )
+        flat_arrays = flat.flat_arrays()
+        assert not any(a.flags.writeable for a in flat_arrays[:3])
+        for v in range(len(base)):
+            values = np.array([0.0, 0.25, base[v], 1.0, *matrix[1:, v]])
+            expected = []
+            for x in values:
+                p = base.copy()
+                p[v] = x
+                expected.append(kernel.evaluate_vector(p)[0])
+            assert kernel.evaluate_perturbed(base, v, values).tolist() == expected
+            assert evaluate_perturbed_arrays(
+                *flat_arrays, base, v, values, batch_rows=3
+            ).tolist() == expected
 
 
 class TestCaseStudyEquivalence:
@@ -354,6 +394,76 @@ class TestEvaluatePerturbed:
             kernel.evaluate_perturbed(base, -1, [0.5])
         with pytest.raises(AnalysisError, match="1-D"):
             kernel.evaluate_perturbed(base, 0, [[0.5, 0.6]])
+
+    @pytest.mark.parametrize("route", ["kernel", "arrays"])
+    def test_out_buffer_wrong_dtype_refused(self, casestudy, route):
+        """A float32 buffer would silently round the results."""
+        kernel, base, values = self._three_values(casestudy)
+        out = np.zeros(3, dtype=np.float32)
+        with pytest.raises(AnalysisError, match="out"):
+            self._perturbed(route, kernel, base, values, out)
+
+    @pytest.mark.parametrize("route", ["kernel", "arrays"])
+    @pytest.mark.parametrize("length", [2, 5])
+    def test_out_buffer_wrong_length_refused(self, casestudy, route, length):
+        """A longer buffer would come back with its stale tail in place."""
+        kernel, base, values = self._three_values(casestudy)
+        with pytest.raises(AnalysisError, match="out"):
+            self._perturbed(route, kernel, base, values, np.full(length, -1.0))
+
+    @pytest.mark.parametrize("route", ["kernel", "arrays"])
+    def test_out_buffer_filled_in_place(self, casestudy, route):
+        kernel, base, values = self._three_values(casestudy)
+        out = np.full(3, -1.0)
+        assert self._perturbed(route, kernel, base, values, out) is out
+        assert out.tolist() == kernel.evaluate_perturbed(base, 0, values).tolist()
+
+    @staticmethod
+    def _three_values(casestudy):
+        groups, table = casestudy
+        kernel = compile_structure(groups)
+        return kernel, kernel.probability_vector(table), np.array([0.2, 0.5, 0.9])
+
+    @staticmethod
+    def _perturbed(route, kernel, base, values, out):
+        if route == "kernel":
+            return kernel.evaluate_perturbed(base, 0, values, out=out)
+        return evaluate_perturbed_arrays(
+            *kernel.flat_arrays(), base, 0, values, out=out
+        )
+
+
+class TestFromFlat:
+    """Flat arrays must be bottom-up ordered: every child sits at a lower
+    position than its parent, or the single forward sweep reads a node
+    before it is computed."""
+
+    GROUPS = [[fs({"a", "b"}), fs({"c"})]]
+    TABLE = {"a": 0.9, "b": 0.8, "c": 0.7}
+
+    def _flat(self, **overrides):
+        kernel = compile_structure(self.GROUPS, order=("a", "b", "c"))
+        var, low, high, root_pos = kernel.flat_arrays()
+        arrays = {"var": var.copy(), "low": low.copy(), "high": high.copy()}
+        for name, (index, value) in overrides.items():
+            arrays[name][index] = value
+        return AvailabilityKernel.from_flat(
+            arrays["var"], arrays["low"], arrays["high"], root_pos,
+            kernel._group_pos, kernel.variables,
+        )
+
+    def test_roundtrip_evaluates(self):
+        assert self._flat().availability(self.TABLE) == pytest.approx(
+            0.916, abs=1e-12
+        )
+
+    @pytest.mark.parametrize("child", ["low", "high"])
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_child_at_or_above_parent_refused(self, child, offset):
+        # interior node 0 lives at position 2: pointing at itself (offset
+        # 0) or at the next node (offset 1) breaks the bottom-up order
+        with pytest.raises(AnalysisError, match="bottom-up"):
+            self._flat(**{child: (0, 2 + offset)})
 
 
 # -- caching -------------------------------------------------------------------
