@@ -3,8 +3,8 @@
 The rebuilt construction path — open-addressed int64 tables, iterative
 worklist apply, level-synchronous bulk batching — must beat the seed's
 dict-and-recursion compiler by 3× on structure families heavy enough
-for table pressure to matter, ``compile_many`` must scale across a
-process pool, and sifting must at least halve the adversarial
+for table pressure to matter, ``compile_many`` must scale across
+worker processes, and sifting must at least halve the adversarial
 interleaved family.  The dict compiler below is an inline replica of
 the seed implementation (tuple-keyed unique table, recursive apply with
 a dict memo, sequential fold order) so the comparison tracks the real

@@ -9,8 +9,9 @@ per-user Python loop.  Floors:
 
 * vectorized plane ≥50× the scalar per-user oracle at 100k users;
 * the 1M-user campus sweep completes in seconds (hard ceiling below);
-* the shared-memory shard path beats single-core at ≥4 shards on
-  ≥100k users (skipped on boxes with <4 CPUs).
+* the sharded path (worker processes over artifact files) beats
+  single-core at ≥4 shards on ≥100k users (skipped on boxes with
+  <4 CPUs).
 
 CI runs only the ≤10k-user smoke; export ``REPRO_BENCH_FULL=1`` for the
 100k/1M sweeps.  Record a baseline with::
@@ -180,7 +181,7 @@ def test_population_1m_campus(benchmark, campus_plane):
     (os.cpu_count() or 1) < 4, reason="shard floor needs >= 4 CPUs"
 )
 def test_population_sharded_beats_single(benchmark, campus_plane):
-    """≥4 shared-memory shards beat the single-process batched path on a
+    """≥4 shard worker processes beat the single-process batched path on a
     ≥100k-user campus population."""
     topology, service, mapping_for, clients = campus_plane
     population = Population.generate(200_000, CLASSES, clients, seed=7)

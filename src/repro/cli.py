@@ -221,7 +221,7 @@ def _add_compile_args(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="BDD compile workers for multi-structure fan-out "
+        help="BDD compile worker processes for multi-structure fan-out "
         "(default: in-process serial compilation)",
     )
 
@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=None,
-        help="shared-memory shard workers (default: single-process batching)",
+        help="shard worker processes (default: single-process batching)",
     )
     population.add_argument("--printer", default="p2")
     population.add_argument("--server", default="printS")

@@ -338,7 +338,7 @@ class MethodologyPipeline:
         overrides *jobs* when set.
 
         ``shards`` fans the optional Step-9 population evaluation out
-        over shared-memory workers (see :meth:`set_population`); it is
+        over shard worker processes (see :meth:`set_population`); it is
         ignored when no population is attached.
 
         ``kernel`` (``"bdd"``/``"ie"``/``"enum"``) pre-selects the

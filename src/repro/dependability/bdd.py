@@ -39,8 +39,8 @@ the fallback orders by descending occurrence frequency.
 
 from __future__ import annotations
 
-import atexit
 import hashlib
+import tempfile
 import threading
 from collections import Counter
 from typing import (
@@ -1264,9 +1264,8 @@ def evaluate_perturbed_arrays(
     *batch_rows* rows over raw linearized-DAG arrays.
 
     Operates purely on arrays (no kernel object), so shard workers can
-    call it directly on shared-memory views; *out* (when given) receives
-    the results in place — the sharding plane points it at the shared
-    result segment.
+    call it directly on arrays mapped from artifact files; *out* (when
+    given) receives the results in place.
     """
     if batch_rows < 1:
         raise AnalysisError(f"batch_rows must be >= 1, got {batch_rows}")
@@ -1362,20 +1361,24 @@ _KIND_KERNEL = "kernel"
 
 
 def _kernel_from_store(
-    store: "_store.ArtifactStore", fingerprint: str
+    store: "_store.ArtifactStore", fingerprint: str, *, copy: bool = False
 ) -> Optional[AvailabilityKernel]:
     """Second-tier lookup: rebuild a stored kernel's linearized DAG as
-    zero-copy mmap views, or ``None`` on miss/corruption/foreign data."""
+    zero-copy mmap views — or, with *copy*, as in-memory arrays that
+    outlive the file — or ``None`` on miss/corruption/foreign data."""
     artifact = store.get(_KIND_KERNEL, (fingerprint,))
     if artifact is None:
         return None
+    arrays = artifact.arrays
+    if copy:
+        arrays = {name: np.array(array) for name, array in arrays.items()}
     try:
         return AvailabilityKernel.from_flat(
-            artifact.arrays["var"],
-            artifact.arrays["low"],
-            artifact.arrays["high"],
+            arrays["var"],
+            arrays["low"],
+            arrays["high"],
             int(artifact.meta["root_pos"]),
-            artifact.arrays["group_pos"],
+            arrays["group_pos"],
             artifact.meta["variables"],
             fingerprint,
         )
@@ -1640,75 +1643,22 @@ def compile_pair(
 
 # -- parallel fan-out ---------------------------------------------------------
 
-_POOL = None
-_POOL_JOBS = 0
-_POOL_LOCK = threading.Lock()
 
-
-def _pool_shutdown() -> None:
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is not None:
-            _POOL.shutdown(wait=False, cancel_futures=True)
-            _POOL = None
-
-
-atexit.register(_pool_shutdown)
-
-
-def _get_pool(jobs: int):
-    """The persistent spawn-context process pool (recreated only when
-    the worker count changes)."""
-    global _POOL, _POOL_JOBS
-    import concurrent.futures
-    import multiprocessing
-
-    with _POOL_LOCK:
-        if _POOL is None or _POOL_JOBS != jobs:
-            if _POOL is not None:
-                _POOL.shutdown(wait=True)
-            _POOL = concurrent.futures.ProcessPoolExecutor(
-                max_workers=jobs,
-                mp_context=multiprocessing.get_context("spawn"),
-            )
-            _POOL_JOBS = jobs
-        return _POOL
-
-
-def _compile_worker(payload):
-    """Pool worker: compile a bucket of structures.
-
-    With a shared artifact store the worker only needs to write through
-    (the parent mmap-loads the result zero-copy); without one it ships
-    the linearized arrays back over the pipe.
-    """
-    tasks, store_root, mode = payload
-    if store_root is not None:
-        _store.configure(store_root)
-    results = []
-    for idx, groups, order in tasks:
-        kernel = compile_structure(
-            groups, order=order, use_cache=True, reorder=mode
+def _compile_worker(
+    tasks: Sequence[Tuple[List[List[FrozenSet[str]]], Tuple[str, ...]]],
+    store_root: str,
+    mode: str,
+) -> None:
+    """Fan-out worker: compile a bucket of ``(groups, order)`` structures
+    and write each kernel through to the store at *store_root*, where the
+    parent loads it.  Compiles bypass the worker's LRU, so a
+    fork-inherited cache entry can never skip the write."""
+    store = _store.configure(store_root)
+    for groups, order in tasks:
+        _kernel_to_store(
+            store,
+            compile_structure(groups, order=order, use_cache=False, reorder=mode),
         )
-        if store_root is not None:
-            results.append((idx, None))
-        else:
-            var, low, high, root_pos = kernel.flat_arrays()
-            results.append(
-                (
-                    idx,
-                    (
-                        np.asarray(var, dtype=np.int64),
-                        np.asarray(low, dtype=np.int64),
-                        np.asarray(high, dtype=np.int64),
-                        int(root_pos),
-                        tuple(kernel._group_pos),
-                        tuple(kernel.variables),
-                        kernel.fingerprint,
-                    ),
-                )
-            )
-    return results
 
 
 def compile_many(
@@ -1720,16 +1670,23 @@ def compile_many(
     reorder: Optional[str] = None,
     jobs: Optional[int] = None,
 ) -> List[AvailabilityKernel]:
-    """Compile many independent structures, fanning out across a
-    persistent process pool when ``jobs > 1``.
+    """Compile many independent structures, fanning out across worker
+    processes (:func:`repro.fanout.run`) when ``jobs > 1``.
 
     Structures already warm in the LRU or the artifact store never reach
-    the pool; the rest are LPT-balanced across workers by total path-set
-    incidence (the compile-cost proxy).  With an active store, workers
-    write through and the parent mmap-loads zero-copy; without one the
-    flat arrays travel back over the result pipe.  Kernels compiled in a
-    worker are store/flat-backed (no manager), which every evaluation and
-    set query supports.
+    a worker; the rest compile once per cache key, LPT-balanced across
+    workers by total path-set incidence (the compile-cost proxy).
+    Workers always write through to a store — the active one, or a
+    per-call scratch directory when none is active or ``use_cache`` is
+    off — and the parent loads each kernel with the store's warm-start
+    reader: zero-copy from a real store, copied into memory from the
+    scratch directory, which is removed before the call returns.  A
+    kernel that does not come back (failed worker, unreadable artifact)
+    compiles in-process, so the fan-out is never a correctness
+    dependency; the ``bdd.compile.many`` span counts both outcomes as
+    ``shipped`` and ``fallback``.  Kernels compiled in a worker are
+    flat-backed (no manager), which every evaluation and set query
+    supports.
     """
     mode = _resolve_reorder(reorder)
     n = len(structures)
@@ -1758,7 +1715,8 @@ def compile_many(
     results: List[Optional[AvailabilityKernel]] = [None] * n
     store = _store.active_store() if use_cache else None
     with _trace.span("bdd.compile.many", structures=n, jobs=jobs) as span:
-        todo: List[int] = []
+        # cache key -> indices of the structures it compiles
+        todo: Dict[str, List[int]] = {}
         for i, (_, _, _, cache_key) in enumerate(prepared):
             if use_cache:
                 cached = _KERNELS.get(cache_key)
@@ -1773,86 +1731,59 @@ def compile_many(
                         )
                         results[i] = loaded
                         continue
-            todo.append(i)
-        shipped = 0
+            todo.setdefault(cache_key, []).append(i)
+        shipped = fallback = 0
         if todo:
-            costs = sorted(
-                (
-                    (
-                        sum(
-                            len(path)
-                            for group in prepared[i][0]
-                            for path in group
-                        ),
-                        i,
-                    )
-                    for i in todo
-                ),
-                reverse=True,
+            from repro import fanout
+
+            firsts = [indices[0] for indices in todo.values()]
+            buckets = fanout.balance(
+                [
+                    sum(len(path) for group in prepared[i][0] for path in group)
+                    for i in firsts
+                ],
+                min(jobs, len(firsts)),
             )
-            buckets: List[List[int]] = [
-                [] for _ in range(min(jobs, len(todo)))
-            ]
-            loads = [0] * len(buckets)
-            for cost, i in costs:
-                slot = loads.index(min(loads))
-                buckets[slot].append(i)
-                loads[slot] += cost
-            pool = _get_pool(jobs)
-            store_root = str(store.root) if store is not None else None
-            futures = [
-                pool.submit(
-                    _compile_worker,
-                    (
-                        [
-                            (i, prepared[i][0], prepared[i][1])
-                            for i in bucket
-                        ],
-                        store_root,
-                        mode,
-                    ),
-                )
-                for bucket in buckets
-                if bucket
-            ]
-            for future in futures:
+            with tempfile.TemporaryDirectory(prefix="repro-compile-") as scratch:
+                target = store if store is not None else _store.ArtifactStore(scratch)
                 try:
-                    worker_results = future.result()
-                except Exception:
-                    continue  # bucket falls back to local compilation
-                for idx, flat in worker_results:
-                    shipped += 1
-                    if flat is None:
-                        if store is not None:
-                            loaded = _kernel_from_store(
-                                store, prepared[idx][3]
+                    fanout.run(
+                        _compile_worker,
+                        [
+                            (
+                                [
+                                    (prepared[firsts[j]][0], prepared[firsts[j]][1])
+                                    for j in bucket
+                                ],
+                                str(target.root),
+                                mode,
                             )
-                            if loaded is not None:
-                                results[idx] = loaded
+                            for bucket in buckets
+                        ],
+                        None,
+                        label="bucket",
+                    )
+                except (AnalysisError, OSError):
+                    pass  # whatever did not come back compiles in-process
+                for cache_key, indices in todo.items():
+                    kernel = _kernel_from_store(
+                        target, cache_key, copy=store is None
+                    )
+                    if kernel is None:
+                        fallback += 1
+                        kernel = compile_structure(
+                            structures[indices[0]],
+                            order=per_order[indices[0]],
+                            use_cache=use_cache,
+                            reorder=mode,
+                        )
                     else:
-                        try:
-                            results[idx] = AvailabilityKernel.from_flat(
-                                *flat[:4],
-                                group_pos=flat[4],
-                                variables=flat[5],
-                                fingerprint=flat[6],
-                            )
-                        except AnalysisError:
-                            results[idx] = None
-            for i in todo:
-                if results[i] is None:
-                    results[i] = compile_structure(
-                        structures[i],
-                        order=per_order[i],
-                        use_cache=use_cache,
-                        reorder=mode,
-                    )
-                elif use_cache:
-                    kernel = results[i]
-                    _KERNELS.put(
-                        kernel.fingerprint, kernel, weight=kernel.size + 2
-                    )
-        span.set(compiled=len(todo), shipped=shipped)
+                        shipped += 1
+                        if use_cache:
+                            _KERNELS.put(cache_key, kernel, weight=kernel.size + 2)
+                    for i in indices:
+                        results[i] = kernel
+        span.set(compiled=len(todo), shipped=shipped, fallback=fallback)
     return results
 
 

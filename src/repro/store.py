@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import mmap
 import os
 import struct
@@ -146,7 +147,8 @@ def _encode(
     key_parts: Sequence[str],
     arrays: Mapping[str, np.ndarray],
     meta: Optional[Mapping[str, object]] = None,
-) -> bytes:
+    digest: bool = True,
+) -> bytearray:
     directory: List[Dict[str, object]] = []
     offset = 0
     chunks: List[np.ndarray] = []
@@ -176,16 +178,22 @@ def _encode(
     payload_start = _align(_HEADER.size + len(meta_bytes))
     buffer = bytearray(payload_start + payload_len)
     buffer[_HEADER.size : _HEADER.size + len(meta_bytes)] = meta_bytes
+    # arrays copy straight into the buffer and the digest reads it in
+    # place: one copy of the payload in all
+    payload = np.frombuffer(buffer, dtype=np.uint8)
     for record, array in zip(directory, chunks):
         start = payload_start + int(record["offset"])  # type: ignore[arg-type]
-        buffer[start : start + array.nbytes] = array.tobytes()
-    digest = hashlib.blake2b(
-        bytes(buffer[_HEADER.size :]), digest_size=16
-    ).digest()
-    buffer[: _HEADER.size] = _HEADER.pack(
-        _MAGIC, _VERSION, 0, len(meta_bytes), payload_len, digest
+        payload[start : start + array.nbytes] = array.reshape(-1).view(np.uint8)
+    del payload
+    recorded = (
+        hashlib.blake2b(memoryview(buffer)[_HEADER.size :], digest_size=16).digest()
+        if digest
+        else bytes(16)
     )
-    return bytes(buffer)
+    buffer[: _HEADER.size] = _HEADER.pack(
+        _MAGIC, _VERSION, 0, len(meta_bytes), payload_len, recorded
+    )
+    return buffer
 
 
 class Artifact:
@@ -271,7 +279,7 @@ def open_artifact(path: Union[str, Path], *, verify: bool = True) -> Artifact:
     for record in meta_doc.get("arrays", ()):
         dtype = np.dtype(record["dtype"])
         shape = tuple(record["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         start = payload_start + int(record["offset"])
         array = np.frombuffer(mapped, dtype=dtype, count=count, offset=start)
         arrays[record["name"]] = array.reshape(shape)
@@ -291,12 +299,19 @@ def write_artifact_file(
     key_parts: Sequence[str],
     arrays: Mapping[str, np.ndarray],
     meta: Optional[Mapping[str, object]] = None,
+    *,
+    digest: bool = True,
 ) -> int:
     """Write one container to an explicit *path* (atomic within its
     directory); returns the byte size.  The sharding plane uses this for
-    its per-task scratch artifacts — no :class:`ArtifactStore` needed."""
+    its scratch artifacts — no :class:`ArtifactStore` needed.
+
+    ``digest=False`` records an all-zero payload digest instead of
+    hashing the payload, for files that live only as long as one call
+    and are read back with ``open_artifact(..., verify=False)``: the
+    hash is one blake2b pass over every byte written."""
     path = Path(path)
-    blob = _encode(kind, key_parts, arrays, meta)
+    blob = _encode(kind, key_parts, arrays, meta, digest)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     with open(tmp, "wb") as handle:
         handle.write(blob)

@@ -10,11 +10,10 @@ pair at a time; this package serves whole user *populations*:
   users sharing an attachment point and service collapse to one compiled
   structure query, distinct annotation rows batch through the BDD
   kernel's vectorized sweep, and results scatter back per user;
-* :mod:`repro.workload.sharding` — shared-memory multicore sharding:
-  key-groups fan out over ``multiprocessing`` workers that evaluate the
-  flattened BDD node arrays directly from
-  ``multiprocessing.shared_memory`` segments, without re-compiling or
-  pickling any kernel.
+* :mod:`repro.workload.sharding` — multicore sharding: key-groups fan
+  out over worker processes (:mod:`repro.fanout`) that evaluate the
+  flattened BDD node arrays mapped from artifact files, without
+  re-compiling or pickling any kernel.
 
 Quick start::
 

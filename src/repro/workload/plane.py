@@ -16,9 +16,8 @@ million users" into a handful of numpy sweeps:
    :meth:`~repro.dependability.bdd.AvailabilityKernel.evaluate_perturbed`
    sweep evaluates them all, chunked over contiguous numpy arrays.
 3. **Shard** — when ``shards > 1`` the per-key batches fan out across
-   ``multiprocessing`` workers that read flattened BDD node arrays from a
-   ``multiprocessing.shared_memory`` segment
-   (:mod:`repro.workload.sharding`) — no kernel is re-compiled or
+   worker processes that map flattened BDD node arrays from artifact
+   files (:mod:`repro.workload.sharding`) — no kernel is re-compiled or
    pickled.
 
 ``evaluate_population_naive`` is the honest scalar oracle: a Python loop
@@ -79,7 +78,7 @@ _M_BATCH_ROWS = _metrics.histogram(
 )
 _M_SHARD_SECONDS = _metrics.histogram(
     "repro_workload_shard_seconds",
-    "Wall time of each shared-memory shard worker",
+    "Wall time of each shard worker",
 )
 
 
@@ -238,8 +237,8 @@ def _kernels_for_attachments(
     pairs — the service legs that do not involve the user, identical for
     every attachment — enumerate once; kernels memoize by structure
     fingerprint in the shared LRU.  *compile_jobs* > 1 fans cold compiles
-    out over the persistent :func:`compile_many` process pool (cached
-    structures never reach it).
+    out over :func:`compile_many` worker processes (cached structures
+    never reach them).
     """
     per_attachment_pairs: Dict[str, List[Tuple[str, str]]] = {}
     all_pairs: List[Tuple[str, str]] = []
@@ -337,7 +336,7 @@ def evaluate_population(
     ``prob_rule="root"``) from :mod:`repro.dimensions`; its annotation
     table replaces Formula 1 while the dedup/batch/shard machinery is
     reused unchanged.  ``shards`` > 1 fans the per-key batches out over
-    shared-memory workers when the platform supports it
+    worker processes when the platform can start them
     (:func:`repro.workload.sharding.sharding_supported`); otherwise the
     single-process batched path runs.  ``top`` sizes the
     worst-served-user drilldown.
@@ -407,17 +406,9 @@ def evaluate_population(
 
         use_shards = shards is not None and shards > 1 and len(tasks) > 1
         if use_shards:
-            from repro.workload.sharding import (
-                evaluate_sharded,
-                sharding_mmap_supported,
-                sharding_supported,
-            )
+            from repro.workload.sharding import evaluate_sharded, sharding_supported
 
-            # fork is the fast path; the mmap artifact fan-out covers
-            # spawn-only platforms, so only bail to single-process when
-            # neither transport exists
-            if not (sharding_supported() or sharding_mmap_supported()):
-                use_shards = False
+            use_shards = sharding_supported()
         if use_shards:
             assert shards is not None
             with _trace.span(
@@ -430,7 +421,6 @@ def evaluate_population(
                     ],
                     shards=shards,
                     batch_rows=batch_rows,
-                    method="auto",
                 )
             report.shards = shards
             report.shard_seconds = shard_seconds

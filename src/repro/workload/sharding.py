@@ -1,43 +1,23 @@
-"""Shared-memory multicore sharding of population key batches.
+"""Multicore sharding of population key batches.
 
 For populations that exceed one core, the per-(attachment, service)
-batches of :mod:`repro.workload.plane` fan out across ``multiprocessing``
-workers.  The parent compiles every kernel (discovery and BDD caches stay
-warm in one process), flattens all the linearized node arrays plus the
-per-key base/annotation vectors into **one**
-:class:`multiprocessing.shared_memory.SharedMemory` segment, and forks
-workers that evaluate directly on views of that segment — no kernel is
-ever re-compiled or pickled, and results land in a shared output region
-the parent scatters from.
+batches of :mod:`repro.workload.plane` fan out across worker processes
+started by :func:`repro.fanout.run`.  The parent compiles every kernel
+(discovery and BDD caches stay warm in one process) and writes each
+task's linearized node arrays plus its base/annotation vectors once into
+one :mod:`repro.store` artifact file in a scratch directory.  Workers
+map that file read-only — no kernel is ever re-compiled or pickled — and
+each writes one result artifact that the parent copies out before the
+scratch directory is removed.  The files serve fork- and spawn-started
+workers alike, so sharding runs wherever the platform can start worker
+processes (:func:`sharding_supported`).  They are written atomically
+and read back within the call, so they skip the store's payload digest:
+hashing them cost ~28 ms of a ~140 ms two-shard 1M-user sweep.
 
-Segment layout (one block, two typed regions)::
-
-    [ int64  | per task: var_ix | low | high          ]  node arrays
-    [ float64| per task: base | values                ]  annotations
-    [ float64| per task: out rows                     ]  results
-    [ float64| one slot per shard: worker wall seconds]  timings
-
-Workers are started with the **fork** method: the numpy views created by
-the parent before forking are inherited (the shared mapping stays valid
-in the child), so the child never attaches to the segment by name and
-never registers with the resource tracker — the parent alone owns the
-segment and unlinks it in a ``finally``, so ``/dev/shm`` is clean even
-when a worker dies.
-
-Platforms without fork (Windows, some macOS configurations) use the
-**mmap** method instead: each task's kernel arrays and annotations are
-written once as :mod:`repro.store` artifact files in a scratch
-directory, and spawn-started workers map them read-only (zero copy, no
-pickling of kernels, no fork-inherited state).  ``method="auto"`` (the
-default, and what the evaluation plane passes) picks fork when
-available and mmap otherwise, so sharding now works on every start
-method; ``method="mmap"`` forces the artifact path — also useful to
-keep worker memory at exactly the mapped pages instead of a full COW
-heap.
-
-Work distribution is greedy cost balancing: tasks sorted by estimated
-cost (BDD nodes × annotation rows) are assigned to the least-loaded
-shard, so one giant attachment group cannot serialize the fan-out.
+Work distribution is greedy cost balancing
+(:func:`repro.fanout.balance`): tasks sorted by estimated cost (BDD
+nodes × annotation rows) go to the least-loaded shard, so one giant
+attachment group cannot serialize the fan-out.
 """
 
 from __future__ import annotations
@@ -45,281 +25,85 @@ from __future__ import annotations
 import os
 import tempfile
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro import store as _store
 from repro.dependability.bdd import AvailabilityKernel, evaluate_perturbed_arrays
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, StoreError
 from repro.obs import trace as _trace
 
 __all__ = [
     "sharding_supported",
-    "sharding_mmap_supported",
     "evaluate_sharded",
 ]
 
 #: one sharded task: (kernel, base vector, perturbed variable, row values)
 Task = Tuple[AvailabilityKernel, np.ndarray, int, np.ndarray]
 
-#: a packed task's shared-memory views, ready for :func:`_worker`:
-#: (var_ix, low, high, root_pos, base, var, values, out)
-_TaskViews = Tuple[
-    np.ndarray, np.ndarray, np.ndarray, int, np.ndarray, int, np.ndarray, np.ndarray
-]
-
 
 def sharding_supported() -> bool:
-    """Whether the shared-memory fork fan-out can run on this platform."""
+    """Whether this platform can start worker processes — the one probe
+    behind every process fan-out (:mod:`repro.fanout`)."""
     try:
         import multiprocessing
-        import multiprocessing.shared_memory  # noqa: F401  (probe only)
-
-        multiprocessing.get_context("fork")
-    except (ImportError, ValueError, AttributeError):
-        return False
-    return True
-
-
-def sharding_mmap_supported() -> bool:
-    """Whether the artifact-file (mmap attach) fan-out can run — any
-    multiprocessing start method will do, fork included."""
-    try:
-        import multiprocessing
-
-        return bool(multiprocessing.get_all_start_methods())
     except ImportError:
         return False
+    return bool(multiprocessing.get_all_start_methods())
 
 
-def _balance(costs: Sequence[int], shards: int) -> List[List[int]]:
-    """Greedy longest-processing-time assignment of task indices."""
-    assignments: List[List[int]] = [[] for _ in range(shards)]
-    loads = [0] * shards
-    for task_ix in sorted(range(len(costs)), key=lambda i: -costs[i]):
-        shard = loads.index(min(loads))
-        assignments[shard].append(task_ix)
-        loads[shard] += costs[task_ix]
-    return assignments
-
-
-def _pack(
-    shm, tasks: Sequence[Task], flats, int_bytes: int, float_count: int, shards: int
-) -> Tuple[List[_TaskViews], List[np.ndarray], np.ndarray]:
-    """Copy every task's arrays into the segment; return the typed views.
-
-    All views into ``shm.buf`` are created (and the only references kept)
-    here, so dropping the returned structures releases every buffer
-    export before the parent closes the mapping.
-    """
-
-    def int_view(offset: int, count: int) -> np.ndarray:
-        return np.frombuffer(
-            shm.buf, dtype=np.int64, count=count, offset=offset * 8
-        )
-
-    def float_view(offset: int, count: int) -> np.ndarray:
-        return np.frombuffer(
-            shm.buf, dtype=np.float64, count=count, offset=int_bytes + offset * 8
-        )
-
-    task_views: List[_TaskViews] = []
-    out_slices: List[np.ndarray] = []
-    int_offset = 0
-    float_offset = 0
-    out_offset = float_count
-    for (kernel, base, var, values), (var_ix, low, high, root_pos) in zip(
-        tasks, flats
-    ):
-        n = len(var_ix)
-        var_v = int_view(int_offset, n)
-        low_v = int_view(int_offset + n, n)
-        high_v = int_view(int_offset + 2 * n, n)
-        var_v[:] = var_ix
-        low_v[:] = low
-        high_v[:] = high
-        int_offset += 3 * n
-
-        base_v = float_view(float_offset, len(base))
-        base_v[:] = base
-        float_offset += len(base)
-        values_v = float_view(float_offset, len(values))
-        values_v[:] = values
-        float_offset += len(values)
-
-        out_v = float_view(out_offset, len(values))
-        out_offset += len(values)
-        out_slices.append(out_v)
-        task_views.append(
-            (var_v, low_v, high_v, root_pos, base_v, var, values_v, out_v)
-        )
-    timings = float_view(out_offset, shards)
-    timings[:] = 0.0
-    return task_views, out_slices, timings
-
-
-def _worker(
-    shard_id: int,
-    task_views: List[_TaskViews],
+def _shard_worker(
+    tasks_path: str,
     assignment: List[int],
-    timings: np.ndarray,
+    out_path: str,
     batch_rows: int,
 ) -> None:
-    """Evaluate this shard's tasks on the inherited shared-memory views.
-
-    Runs the same :func:`repro.dependability.bdd.evaluate_perturbed_arrays`
-    as the single-process path, writing straight into the shared output
-    region — the arithmetic is identical, only the process differs.
-    """
-    started = time.perf_counter()
-    for task_ix in assignment:
-        var_ix, low, high, root_pos, base, var, values, out = task_views[task_ix]
-        evaluate_perturbed_arrays(
-            var_ix,
-            low,
-            high,
-            root_pos,
-            base,
-            var,
-            values,
-            batch_rows=batch_rows,
-            out=out,
-        )
-    timings[shard_id] = time.perf_counter() - started
-
-
-def _join_workers(workers, timeout: float) -> None:
-    """Join every worker; terminate stragglers and raise one error that
-    names each failed shard (shared by the fork and mmap paths)."""
-    failed: List[str] = []
-    for shard_id, worker in enumerate(workers):
-        worker.join(timeout)
-        if worker.is_alive():
-            worker.terminate()
-            worker.join()
-            failed.append(f"shard {shard_id}: timed out after {timeout}s")
-        elif worker.exitcode != 0:
-            failed.append(f"shard {shard_id}: exit code {worker.exitcode}")
-    if failed:
-        raise AnalysisError(
-            "shared-memory shard worker(s) failed: " + "; ".join(failed)
-        )
-
-
-def _mmap_worker(
-    shard_id: int,
-    task_paths: List[str],
-    assignment: List[int],
-    out_dir: str,
-    batch_rows: int,
-) -> None:
-    """Evaluate this shard's tasks from mapped artifact files.
+    """Evaluate this shard's tasks from the mapped task artifact.
 
     Module-level and picklable-argument-only, so it runs under **any**
-    start method (spawn re-imports this module in the child).  Each task
-    artifact is mapped read-only — the kernel arrays are never copied or
-    pickled — and results/timing land as plain ``.npy`` files the parent
-    gathers.  The arithmetic is the same
-    :func:`repro.dependability.bdd.evaluate_perturbed_arrays` as every
-    other path, so results agree bit for bit.
+    start method (spawn re-imports this module in the child).  The task
+    artifact is mapped read-only, and the results plus the shard's wall
+    seconds land in one artifact at *out_path*.  The arithmetic is the
+    same :func:`repro.dependability.bdd.evaluate_perturbed_arrays` as the
+    single-process path, so results agree bit for bit.
     """
     started = time.perf_counter()
+    artifact = _store.open_artifact(tasks_path, verify=False)
+    arrays = artifact.arrays
+    outs: Dict[str, np.ndarray] = {}
     for task_ix in assignment:
-        artifact = _store.open_artifact(task_paths[task_ix])
-        values = artifact.arrays["values"]
-        out = np.empty(len(values), dtype=np.float64)
-        evaluate_perturbed_arrays(
-            artifact.arrays["var"],
-            artifact.arrays["low"],
-            artifact.arrays["high"],
-            int(artifact.meta["root_pos"]),
-            artifact.arrays["base"],
-            int(artifact.meta["var"]),
-            values,
+        outs[f"out-{task_ix}"] = evaluate_perturbed_arrays(
+            arrays[f"var-{task_ix}"],
+            arrays[f"low-{task_ix}"],
+            arrays[f"high-{task_ix}"],
+            artifact.meta["root_pos"][task_ix],
+            arrays[f"base-{task_ix}"],
+            artifact.meta["var"][task_ix],
+            arrays[f"values-{task_ix}"],
             batch_rows=batch_rows,
-            out=out,
         )
-        np.save(os.path.join(out_dir, f"out-{task_ix}.npy"), out)
-    np.save(
-        os.path.join(out_dir, f"time-{shard_id}.npy"),
-        np.array([time.perf_counter() - started]),
+    _store.write_artifact_file(
+        out_path,
+        "shard-out",
+        (os.path.basename(out_path),),
+        outs,
+        {"seconds": time.perf_counter() - started},
+        digest=False,
     )
 
 
-def _evaluate_sharded_mmap(
-    tasks: Sequence[Task],
-    *,
-    shards: int,
-    batch_rows: int,
-    timeout: float,
-    start_method: Optional[str],
-) -> Tuple[List[np.ndarray], List[float]]:
-    """The artifact-file fan-out behind ``method="mmap"``."""
-    import multiprocessing
-
-    if start_method is None:
-        methods = multiprocessing.get_all_start_methods()
-        start_method = "spawn" if "spawn" in methods else methods[0]
-    ctx = multiprocessing.get_context(start_method)
-    shards = min(shards, len(tasks))
-    with tempfile.TemporaryDirectory(prefix="repro-shard-") as scratch:
-        task_paths: List[str] = []
-        costs: List[int] = []
-        for i, (kernel, base, var, values) in enumerate(tasks):
-            var_ix, low, high, root_pos = kernel.flat_arrays()
-            path = os.path.join(scratch, f"task-{i}")
-            _store.write_artifact_file(
-                path,
-                "shard-task",
-                (str(i),),
-                {
-                    "var": np.asarray(var_ix, dtype=np.int64),
-                    "low": np.asarray(low, dtype=np.int64),
-                    "high": np.asarray(high, dtype=np.int64),
-                    "base": np.asarray(base, dtype=np.float64),
-                    "values": np.asarray(values, dtype=np.float64),
-                },
-                {"root_pos": int(root_pos), "var": int(var)},
-            )
-            task_paths.append(path)
-            costs.append((len(var_ix) + 1) * max(len(values), 1))
-        assignments = _balance(costs, shards)
-        with _trace.span(
-            "workload.shards", shards=shards, method=start_method
-        ):
-            workers = [
-                ctx.Process(
-                    target=_mmap_worker,
-                    args=(
-                        shard_id,
-                        task_paths,
-                        assignments[shard_id],
-                        scratch,
-                        batch_rows,
-                    ),
-                )
-                for shard_id in range(shards)
-            ]
-            for worker in workers:
-                worker.start()
-            _join_workers(workers, timeout)
-        try:
-            results = [
-                np.load(os.path.join(scratch, f"out-{i}.npy"))
-                for i in range(len(tasks))
-            ]
-            shard_seconds = [
-                float(
-                    np.load(os.path.join(scratch, f"time-{shard_id}.npy"))[0]
-                )
-                for shard_id in range(shards)
-            ]
-        except OSError as exc:  # pragma: no cover - worker wrote nothing
-            raise AnalysisError(
-                f"shard worker produced no result file: {exc}"
-            ) from exc
-        return results, shard_seconds
+def _read_shard(path: str) -> Tuple[float, Dict[int, np.ndarray]]:
+    """One shard's ``(wall seconds, {task index: results})``, copied out
+    of the mapping so nothing keeps the scratch file open."""
+    try:
+        artifact = _store.open_artifact(path, verify=False)
+    except StoreError as exc:
+        raise AnalysisError(f"shard worker produced no result file: {exc}") from exc
+    return float(artifact.meta["seconds"]), {
+        int(name[len("out-") :]): np.array(out)
+        for name, out in artifact.arrays.items()
+    }
 
 
 def evaluate_sharded(
@@ -328,113 +112,70 @@ def evaluate_sharded(
     shards: int,
     batch_rows: int = 65536,
     timeout: float = 600.0,
-    method: str = "auto",
-    start_method: Optional[str] = None,
 ) -> Tuple[List[np.ndarray], List[float]]:
     """Evaluate population key batches across shard worker processes.
 
-    ``method`` picks the fan-out transport: ``"fork"`` is the shared-
-    memory segment path (needs the fork start method), ``"mmap"`` writes
-    per-task artifact files and lets workers map them — it runs under
-    any start method (``start_method`` overrides the spawn-first
-    default) and therefore unlocks spawn-only platforms.  ``"auto"``
-    prefers fork and falls back to mmap.
-
     Returns ``(per-task result arrays in input order, per-shard wall
     seconds)``.  Raises :class:`AnalysisError` when the platform cannot
-    shard or any worker fails; scratch state (the shared segment or the
-    artifact directory) is released in every case.
+    start worker processes, or when any worker fails or outlives
+    *timeout* seconds; the scratch artifact directory is removed in
+    every case.
     """
     if shards < 2:
         raise AnalysisError(f"sharding needs shards >= 2, got {shards}")
-    if method not in ("auto", "fork", "mmap"):
+    if not sharding_supported():
         raise AnalysisError(
-            f"unknown sharding method {method!r} "
-            f"(expected auto, fork or mmap)"
-        )
-    if method == "auto":
-        if sharding_supported():
-            method = "fork"
-        elif sharding_mmap_supported():
-            method = "mmap"
-    if method == "auto" or (method == "fork" and not sharding_supported()):
-        raise AnalysisError(
-            "shared-memory sharding is not supported on this platform "
-            "(no fork start method); use the single-process batched path"
-        )
-    if method == "mmap" and not sharding_mmap_supported():
-        raise AnalysisError(
-            "mmap sharding is not supported on this platform "
-            "(multiprocessing unavailable)"
+            "sharding is not supported on this platform (cannot start "
+            "worker processes); use the single-process batched path"
         )
     if not tasks:
         return [], []
-    if method == "mmap":
-        return _evaluate_sharded_mmap(
-            tasks,
-            shards=shards,
-            batch_rows=batch_rows,
-            timeout=timeout,
-            start_method=start_method,
-        )
+    from repro import fanout
 
-    import multiprocessing
-    from multiprocessing import shared_memory
-
-    ctx = multiprocessing.get_context("fork")
     shards = min(shards, len(tasks))
-
-    # -- measure the packed layout -------------------------------------------
-    flats = [kernel.flat_arrays() for kernel, _, _, _ in tasks]
-    int_count = sum(3 * len(var_ix) for var_ix, _, _, _ in flats)
-    float_count = sum(len(base) + len(values) for _, base, _, values in tasks)
-    out_count = sum(len(values) for _, _, _, values in tasks)
-    int_bytes = int_count * 8
-    total_bytes = int_bytes + (float_count + out_count + shards) * 8
-
-    shm = shared_memory.SharedMemory(create=True, size=max(total_bytes, 8))
-    task_views: object = None
-    out_slices: object = None
-    timings: object = None
-    try:
-        task_views, out_slices, timings = _pack(
-            shm, tasks, flats, int_bytes, float_count, shards
+    with tempfile.TemporaryDirectory(prefix="repro-shard-") as scratch:
+        arrays: Dict[str, np.ndarray] = {}
+        root_pos: List[int] = []
+        variables: List[int] = []
+        costs: List[int] = []
+        for i, (kernel, base, var, values) in enumerate(tasks):
+            var_ix, low, high, root = kernel.flat_arrays()
+            arrays[f"var-{i}"] = np.asarray(var_ix, dtype=np.int64)
+            arrays[f"low-{i}"] = np.asarray(low, dtype=np.int64)
+            arrays[f"high-{i}"] = np.asarray(high, dtype=np.int64)
+            arrays[f"base-{i}"] = np.asarray(base, dtype=np.float64)
+            arrays[f"values-{i}"] = np.asarray(values, dtype=np.float64)
+            root_pos.append(int(root))
+            variables.append(int(var))
+            costs.append((len(var_ix) + 1) * max(len(values), 1))
+        tasks_path = os.path.join(scratch, "tasks")
+        _store.write_artifact_file(
+            tasks_path,
+            "shard-tasks",
+            ("tasks",),
+            arrays,
+            {"root_pos": root_pos, "var": variables},
+            digest=False,
         )
-        costs = [
-            (len(var_ix) + 1) * max(len(values), 1)
-            for (_, _, _, values), (var_ix, _, _, _) in zip(tasks, flats)
+        assignments = fanout.balance(costs, shards)
+        out_paths = [
+            os.path.join(scratch, f"out-{shard_id}") for shard_id in range(shards)
         ]
-        assignments = _balance(costs, shards)
-
-        with _trace.span(
-            "workload.shards", shards=shards, segment_bytes=shm.size
-        ):
-            workers = [
-                ctx.Process(
-                    target=_worker,
-                    args=(
-                        shard_id,
-                        task_views,
-                        assignments[shard_id],
-                        timings,
-                        batch_rows,
-                    ),
-                )
-                for shard_id in range(shards)
-            ]
-            for worker in workers:
-                worker.start()
-            _join_workers(workers, timeout)
-
-        results = [np.array(out_v, dtype=np.float64) for out_v in out_slices]
-        shard_seconds = [float(s) for s in timings]
+        with _trace.span("workload.shards", shards=shards):
+            fanout.run(
+                _shard_worker,
+                [
+                    (tasks_path, assignment, out_path, batch_rows)
+                    for assignment, out_path in zip(assignments, out_paths)
+                ],
+                timeout,
+                label="shard",
+            )
+        results: List[np.ndarray] = [np.empty(0)] * len(tasks)
+        shard_seconds: List[float] = []
+        for out_path in out_paths:
+            seconds, outs = _read_shard(out_path)
+            shard_seconds.append(seconds)
+            for task_ix, out in outs.items():
+                results[task_ix] = out
         return results, shard_seconds
-    finally:
-        # drop every exported view before closing the mapping, and unlink
-        # unconditionally so /dev/shm never leaks — even on worker failure
-        task_views = out_slices = timings = None
-        try:
-            shm.close()
-        except BufferError:  # pragma: no cover - a stray export survived
-            pass
-        shm.unlink()

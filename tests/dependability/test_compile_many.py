@@ -9,11 +9,13 @@ over the result pipe (flat arrays) or through the artifact store
 
 from __future__ import annotations
 
+import mmap
 import random
 
 import pytest
 
 import repro.store as store_mod
+from repro.dependability import bdd
 from repro.dependability.bdd import (
     compile_many,
     compile_structure,
@@ -21,6 +23,9 @@ from repro.dependability.bdd import (
     kernel_cache_clear,
 )
 from repro.errors import AnalysisError
+from repro.obs.trace import Tracer, activate
+
+pytestmark = pytest.mark.fanout
 
 TOLERANCE = 1e-12
 
@@ -167,3 +172,77 @@ class TestStoreWriteThrough:
         structures = make_structures(4, seed=11)
         got = compile_many(structures, jobs=2)
         assert_kernels_equivalent(got, reference_kernels(structures))
+
+
+def traced_compile_many(structures, **kwargs):
+    """``compile_many`` under a tracer; returns (kernels, span attrs)."""
+    tracer = Tracer()
+    with activate(tracer):
+        kernels = compile_many(structures, **kwargs)
+    (span,) = tracer.find("bdd.compile.many")
+    return kernels, span.attrs
+
+
+def mapped(array):
+    """Whether *array* is a view into an mmap (walks the ``.base`` chain
+    through any memoryview to the object it exports)."""
+    while array is not None:
+        if isinstance(array, mmap.mmap):
+            return True
+        if isinstance(array, memoryview):
+            array = array.obj
+        else:
+            array = getattr(array, "base", None)
+    return False
+
+
+class TestFallback:
+    """The fan-out is never a correctness dependency, and says when it
+    was not used."""
+
+    def test_every_kernel_ships_from_workers(self, no_fanout_leftovers):
+        structures = make_structures()
+        got, attrs = traced_compile_many(structures, jobs=2)
+        assert_kernels_equivalent(got, reference_kernels(structures))
+        assert attrs["shipped"] == len(structures)
+        assert attrs["fallback"] == 0
+        assert attrs["method"] in ("fork", "spawn")
+
+    def test_crashed_workers_fall_back_to_local_compiles(
+        self, monkeypatch, forked_workers, no_fanout_leftovers
+    ):
+        """Fork inherits the patched worker body, so every bucket dies."""
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(bdd, "_compile_worker", crash)
+        structures = make_structures()
+        got, attrs = traced_compile_many(structures, jobs=2)
+        assert_kernels_equivalent(got, reference_kernels(structures))
+        assert attrs["shipped"] == 0
+        assert attrs["fallback"] == len(structures)
+
+    def test_unloadable_worker_output_is_not_shipped(self, monkeypatch):
+        """A kernel the parent cannot load back is a fallback, not a
+        shipped kernel, even though its worker succeeded."""
+        monkeypatch.setattr(bdd, "_kernel_from_store", lambda *a, **k: None)
+        structures = make_structures(4, seed=5)
+        got, attrs = traced_compile_many(structures, jobs=2)
+        assert_kernels_equivalent(got, reference_kernels(structures))
+        assert attrs["shipped"] == 0
+        assert attrs["fallback"] == len(structures)
+
+
+class TestKernelBacking:
+    def test_scratch_kernels_are_copied_into_memory(self, no_fanout_leftovers):
+        """Without a store the scratch directory is gone on return, so no
+        kernel may keep a view into its files."""
+        assert store_mod.active_store() is None
+        got = compile_many(make_structures(), jobs=2)
+        assert not any(mapped(kernel._np_var) for kernel in got)
+
+    def test_store_kernels_stay_zero_copy(self, tmp_path):
+        store_mod.configure(tmp_path / "store")
+        got = compile_many(make_structures(), jobs=2)
+        assert all(mapped(kernel._np_var) for kernel in got)

@@ -1,29 +1,23 @@
-"""Shared-memory shard fan-out: equivalence, cleanup, failure paths."""
+"""Shard fan-out over artifact files: equivalence, cleanup, failure paths."""
 
 from __future__ import annotations
 
-import os
+import time
 
 import numpy as np
 import pytest
 
 from repro.casestudy import CLIENTS, printing_mapping
 from repro.errors import AnalysisError
+from repro.fanout import balance
 from repro.workload import Population, UserClass, evaluate_population
 from repro.workload import sharding
-from repro.workload.sharding import (
-    _balance,
-    evaluate_sharded,
-    sharding_mmap_supported,
-    sharding_supported,
-)
+from repro.workload.sharding import evaluate_sharded, sharding_supported
 
-needs_fork = pytest.mark.skipif(
-    not sharding_supported(), reason="no fork start method on this platform"
-)
+pytestmark = pytest.mark.fanout
 
 needs_mp = pytest.mark.skipif(
-    not sharding_mmap_supported(), reason="multiprocessing unavailable"
+    not sharding_supported(), reason="cannot start worker processes here"
 )
 
 CLASSES = (
@@ -36,23 +30,15 @@ def usi_mapping(client):
     return printing_mapping(client, "p2")
 
 
-def shm_entries():
-    """Names currently present in /dev/shm (POSIX shared memory)."""
-    try:
-        return set(os.listdir("/dev/shm"))
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return set()
-
-
 class TestBalance:
     def test_spreads_by_cost(self):
-        assignments = _balance([100, 1, 1, 1, 1], shards=2)
+        assignments = balance([100, 1, 1, 1, 1], workers=2)
         loads = [sum([100, 1, 1, 1, 1][i] for i in a) for a in assignments]
         # the four small tasks all land opposite the giant one
         assert sorted(loads) == [4, 100]
 
     def test_every_task_assigned_once(self):
-        assignments = _balance([3, 5, 2, 8, 1, 1], shards=3)
+        assignments = balance([3, 5, 2, 8, 1, 1], workers=3)
         flat = sorted(i for a in assignments for i in a)
         assert flat == [0, 1, 2, 3, 4, 5]
 
@@ -62,50 +48,64 @@ class TestEvaluateSharded:
         with pytest.raises(AnalysisError, match="shards >= 2"):
             evaluate_sharded([], shards=1)
 
-    @needs_fork
+    @needs_mp
     def test_empty_tasks(self):
         assert evaluate_sharded([], shards=2) == ([], [])
 
-    @needs_fork
+    @needs_mp
     def test_matches_single_process_and_releases_shm(
-        self, usi_topo, printing
+        self, usi_topo, printing, no_fanout_leftovers
     ):
         population = Population.generate(4000, CLASSES, CLIENTS, seed=9)
-        before = shm_entries()
         serial = evaluate_population(
             usi_topo, printing, usi_mapping, population
         )
         sharded = evaluate_population(
             usi_topo, printing, usi_mapping, population, shards=2
         )
-        assert shm_entries() == before  # segment unlinked
         assert sharded.shards == 2
         assert len(sharded.shard_seconds) == 2
         assert all(s >= 0.0 for s in sharded.shard_seconds)
         # same IEEE arithmetic, different process: bit-exact agreement
         assert np.array_equal(serial.availability, sharded.availability)
 
-    @needs_fork
     def test_worker_failure_cleans_up_and_raises(
-        self, usi_topo, printing, monkeypatch
+        self, usi_topo, printing, monkeypatch, forked_workers, no_fanout_leftovers
     ):
         """A crashing worker must surface as AnalysisError with the shard
-        named, and the segment must still be unlinked.  Fork inherits the
-        monkeypatched worker body, so the crash happens in the child."""
+        named, and the scratch directory must still be removed.  Fork
+        inherits the monkeypatched worker body, so the crash happens in
+        the child."""
 
         def crash(*args, **kwargs):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(sharding, "_worker", crash)
+        monkeypatch.setattr(sharding, "_shard_worker", crash)
         population = Population.generate(1000, CLASSES, CLIENTS, seed=9)
-        before = shm_entries()
-        with pytest.raises(AnalysisError, match="shard worker"):
+        with pytest.raises(AnalysisError, match="shard 0: exit code 1"):
             evaluate_population(
                 usi_topo, printing, usi_mapping, population, shards=2
             )
-        assert shm_entries() == before
 
-    @needs_fork
+    def test_timed_out_worker_is_terminated(
+        self, usi_topo, printing, monkeypatch, forked_workers, no_fanout_leftovers
+    ):
+        """A worker that outlives the timeout is terminated and named."""
+
+        def hang(*args, **kwargs):
+            time.sleep(60)
+
+        monkeypatch.setattr(sharding, "_shard_worker", hang)
+        population = Population.generate(400, CLASSES, CLIENTS, seed=2)
+        tasks, _ = _collect_tasks(usi_topo, printing, population)
+        started = time.monotonic()
+        with pytest.raises(AnalysisError, match="shard 0: timed out") as info:
+            evaluate_sharded(tasks, shards=2, timeout=0.5)
+        assert time.monotonic() - started < 5.0
+        assert "shared-memory" not in str(info.value)
+        assert "shard 1: timed out" in str(info.value)
+
+    @needs_mp
     def test_more_shards_than_tasks_clamps(self, usi_topo, printing):
         # two attachment keys, eight requested shards -> clamped, correct
         population = Population(
@@ -139,8 +139,9 @@ class TestFallbacks:
     def test_unsupported_platform_falls_back(
         self, usi_topo, printing, monkeypatch
     ):
+        """Where no worker process can start, the plane runs the
+        single-process path and a direct call refuses to shard."""
         monkeypatch.setattr(sharding, "sharding_supported", lambda: False)
-        monkeypatch.setattr(sharding, "sharding_mmap_supported", lambda: False)
         population = Population.generate(500, CLASSES, CLIENTS, seed=1)
         report = evaluate_population(
             usi_topo, printing, usi_mapping, population, shards=4
@@ -150,87 +151,66 @@ class TestFallbacks:
             usi_topo, printing, usi_mapping, population
         )
         assert np.array_equal(report.availability, naive_free.availability)
+        tasks, _ = _collect_tasks(usi_topo, printing, population)
+        with pytest.raises(AnalysisError, match="not supported"):
+            evaluate_sharded(tasks, shards=2)
 
 
 class TestMmapMethod:
-    """The artifact-file fan-out (spawn-safe sharding, PR 8)."""
-
-    def test_rejects_unknown_method(self):
-        with pytest.raises(AnalysisError, match="unknown sharding method"):
-            evaluate_sharded([], shards=2, method="threads")
-
-    @needs_mp
-    def test_empty_tasks(self):
-        assert evaluate_sharded([], shards=2, method="mmap") == ([], [])
+    """The artifact-file transport: workers map per-task artifacts."""
 
     @needs_mp
     def test_matches_single_process(self, usi_topo, printing):
-        """mmap workers map read-only kernel artifacts and agree bit for
-        bit with the in-process path (fork start keeps the test fast;
-        spawn is exercised separately)."""
+        """Workers map read-only kernel artifacts and agree bit for bit
+        with the in-process path."""
         population = Population.generate(2000, CLASSES, CLIENTS, seed=9)
         serial = evaluate_population(
             usi_topo, printing, usi_mapping, population
         )
         tasks, rows = _collect_tasks(usi_topo, printing, population)
-        results, shard_seconds = evaluate_sharded(
-            tasks, shards=2, method="mmap", start_method="fork"
-        )
+        results, shard_seconds = evaluate_sharded(tasks, shards=2)
         assert len(shard_seconds) == 2
         assert all(s >= 0.0 for s in shard_seconds)
-        availability = np.empty(population.n_users, dtype=np.float64)
-        for (_, _, _, _, user_rows, inverse), row_avail in zip(rows, results):
-            availability[user_rows] = row_avail[inverse]
-        assert np.array_equal(serial.availability, availability)
+        assert np.array_equal(serial.availability, _scatter(population, rows, results))
 
     @needs_mp
-    @pytest.mark.skipif(
-        "spawn" not in __import__("multiprocessing").get_all_start_methods(),
-        reason="no spawn start method",
-    )
-    def test_spawn_start_method(self, usi_topo, printing):
-        """The mmap path must survive spawn: workers re-import the module
-        and rebuild everything from the artifact files alone."""
+    def test_spawn_start_method(
+        self, usi_topo, printing, helper_thread, no_fanout_leftovers
+    ):
+        """With another thread alive the workers spawn: they re-import
+        the module and rebuild everything from the artifact files."""
         population = Population.generate(400, CLASSES, CLIENTS, seed=3)
         serial = evaluate_population(
             usi_topo, printing, usi_mapping, population
         )
         tasks, rows = _collect_tasks(usi_topo, printing, population)
-        results, _ = evaluate_sharded(
-            tasks, shards=2, method="mmap", start_method="spawn"
-        )
-        availability = np.empty(population.n_users, dtype=np.float64)
-        for (_, _, _, _, user_rows, inverse), row_avail in zip(rows, results):
-            availability[user_rows] = row_avail[inverse]
-        assert np.array_equal(serial.availability, availability)
+        results, _ = evaluate_sharded(tasks, shards=2)
+        assert np.array_equal(serial.availability, _scatter(population, rows, results))
 
-    @needs_mp
-    def test_auto_falls_back_to_mmap(self, usi_topo, printing, monkeypatch):
-        """With fork unavailable, shards must still fan out via mmap."""
-        monkeypatch.setattr(sharding, "sharding_supported", lambda: False)
-        population = Population.generate(500, CLASSES, CLIENTS, seed=1)
-        report = evaluate_population(
-            usi_topo, printing, usi_mapping, population, shards=2
-        )
-        assert report.shards == 2
-        serial = evaluate_population(
-            usi_topo, printing, usi_mapping, population
-        )
-        assert np.array_equal(report.availability, serial.availability)
+    def test_worker_failure_raises(
+        self, usi_topo, printing, monkeypatch, forked_workers
+    ):
+        """One error names every failed shard."""
 
-    @needs_mp
-    def test_worker_failure_raises(self, usi_topo, printing, monkeypatch):
         def crash(*args, **kwargs):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(sharding, "_mmap_worker", crash)
+        monkeypatch.setattr(sharding, "_shard_worker", crash)
         population = Population.generate(400, CLASSES, CLIENTS, seed=2)
         tasks, _ = _collect_tasks(usi_topo, printing, population)
-        with pytest.raises(AnalysisError, match="shard worker"):
-            # fork start inherits the monkeypatched worker body
-            evaluate_sharded(
-                tasks, shards=2, method="mmap", start_method="fork"
-            )
+        with pytest.raises(
+            AnalysisError,
+            match="shard worker.*shard 0: exit code 1; shard 1: exit code 1",
+        ):
+            evaluate_sharded(tasks, shards=2)
+
+
+def _scatter(population, rows, results):
+    """Per-user availability from per-task results, as the plane does."""
+    availability = np.empty(population.n_users, dtype=np.float64)
+    for (_, _, _, _, user_rows, inverse), row_avail in zip(rows, results):
+        availability[user_rows] = row_avail[inverse]
+    return availability
 
 
 def _collect_tasks(usi_topo, printing, population):
