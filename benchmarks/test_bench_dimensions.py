@@ -129,7 +129,7 @@ def test_scenario_sweep_one_pass_floor(
 
     def one_pass():
         return evaluate_dimensions(
-            groups, names, annotations=annotations, use_store=False
+            groups, names, annotations=annotations
         )
 
     def separate_passes():
@@ -138,7 +138,6 @@ def test_scenario_sweep_one_pass_floor(
                 groups,
                 [name],
                 annotations={name: annotations[name]},
-                use_store=False,
             )
             for name in names
         ]
@@ -171,14 +170,14 @@ def test_builtin_dimensions_one_pass(benchmark, campus_all_pairs):
 
     def one_pass():
         return evaluate_dimensions(
-            groups, names, annotations=annotations, use_store=False
+            groups, names, annotations=annotations
         )
 
     report = benchmark(one_pass)
     assert report.names() == tuple(names)
     for name in names:
         single = evaluate_dimensions(
-            groups, [name], annotations=annotations, use_store=False
+            groups, [name], annotations=annotations
         )
         assert single[name].value == report[name].value
         assert single[name].per_pair == report[name].per_pair

@@ -617,7 +617,7 @@ class LiveEvaluator:
     ) -> _Computed:
         """The worker body: frozen inputs only — never the live model."""
         # deferred imports: see __init__
-        from repro.dependability.bdd import compile_structure
+        from repro.dependability.bdd import compile_structure, order_from_compiled
         from repro.dependability.cutsets import path_components
 
         delta = self.policy.delta
@@ -656,7 +656,11 @@ class LiveEvaluator:
         if groups:
             if delta:
                 kernel = self._kernel.recompile(
-                    groups, order_hint=self._order_hint(compiled, groups)
+                    groups,
+                    order_hint=order_from_compiled(
+                        compiled,
+                        {c for group in groups for path in group for c in path},
+                    ),
                 )
             else:
                 kernel = compile_structure(groups, use_cache=False)
@@ -696,30 +700,6 @@ class LiveEvaluator:
             tuple(sorted(disconnected)),
             dimension_values,
         )
-
-    @staticmethod
-    def _order_hint(
-        compiled: CompiledTopology, groups: Sequence[Sequence[frozenset]]
-    ) -> Tuple[str, ...]:
-        """:func:`repro.dependability.bdd.order_from_topology` from the
-        frozen compiled view (the live variant reads the model)."""
-        components = {c for group in groups for path in group for c in path}
-        index = compiled.index
-        n = compiled.n
-
-        def key(name: str) -> Tuple[int, int, int, str]:
-            node_id = index.get(name)
-            if node_id is not None:
-                return (node_id, 0, -1, name)
-            if "|" in name:
-                a, b = name.split("|", 1)
-                ia, ib = index.get(a), index.get(b)
-                if ia is not None and ib is not None:
-                    low, high = sorted((ia, ib))
-                    return (low, 1, high, name)
-            return (n, 2, 0, name)
-
-        return tuple(sorted(components, key=key))
 
     def _adopt(self, compiled: CompiledTopology, computed: _Computed) -> None:
         with self._lock:

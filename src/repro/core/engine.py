@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -58,7 +57,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import store as _store
-from repro.errors import PathDiscoveryError, StoreError
+from repro.errors import PathDiscoveryError
 from repro.network.topology import Topology
 from repro.core.pathdiscovery import Path, PathSet, _check_endpoints
 from repro.obs import metrics as _metrics
@@ -889,76 +888,21 @@ class CompiledTopology:
 # ---------------------------------------------------------------------------
 
 
-class _LRU:
-    """A small thread-safe LRU with hit/miss counters.
-
-    Besides the entry-count cap, an optional *max_weight* bounds the sum
-    of per-entry weights (for the PathSet cache: total path elements),
-    so memoizing a run of very large results cannot grow memory without
-    bound — the least recently used entries are evicted first.
-    """
-
-    def __init__(self, maxsize: int, max_weight: Optional[int] = None):
-        self.maxsize = maxsize
-        self.max_weight = max_weight
-        self.data: "OrderedDict[object, object]" = OrderedDict()
-        self.weights: Dict[object, int] = {}
-        self.total_weight = 0
-        self.hits = 0
-        self.misses = 0
-        self.lock = threading.Lock()
-
-    def get(self, key):
-        with self.lock:
-            try:
-                value = self.data[key]
-            except KeyError:
-                self.misses += 1
-                return None
-            self.data.move_to_end(key)
-            self.hits += 1
-            return value
-
-    def put(self, key, value, weight: int = 1) -> None:
-        with self.lock:
-            if key in self.data:
-                self.total_weight -= self.weights.get(key, 0)
-            self.data[key] = value
-            self.weights[key] = weight
-            self.total_weight += weight
-            self.data.move_to_end(key)
-            while len(self.data) > self.maxsize or (
-                self.max_weight is not None
-                and self.total_weight > self.max_weight
-                and len(self.data) > 1
-            ):
-                evicted, _ = self.data.popitem(last=False)
-                self.total_weight -= self.weights.pop(evicted, 0)
-
-    def clear(self) -> None:
-        with self.lock:
-            self.data.clear()
-            self.weights.clear()
-            self.total_weight = 0
-            self.hits = 0
-            self.misses = 0
-
-
 #: Compiled topologies, keyed by fingerprint (shared across Topology views).
-_COMPILED = _LRU(maxsize=64)
+_COMPILED = _store.LRU(maxsize=64)
 
 #: Memoized PathSets: (fingerprint, requester, provider, max_depth,
 #: max_paths) -> (paths tuple, truncated flag).  The weight budget caps
 #: the cache at ~2M retained path elements (tens of MB), whatever the
 #: per-result sizes are.
-_PATHS = _LRU(maxsize=1024, max_weight=2_000_000)
+_PATHS = _store.LRU(maxsize=1024, max_weight=2_000_000)
 
 #: Per-block enumerations keyed by (block content digest, entry, exit).
 #: Unlike the PathSet cache this key is *fingerprint-independent*: a
 #: topology mutation invalidates only the blocks it touches (their
 #: digests change), so churned models reuse every untouched block's
 #: enumeration — the delta-aware fast path of :func:`discover_delta`.
-_BLOCK_PATHS = _LRU(maxsize=4096, max_weight=2_000_000)
+_BLOCK_PATHS = _store.LRU(maxsize=4096, max_weight=2_000_000)
 
 _STATS_LOCK = threading.Lock()
 _STATS = {"compilations": 0, "enumerations": 0, "block_enumerations": 0,
@@ -1074,44 +1018,22 @@ def block_cache_clear() -> None:
     _BLOCK_PATHS.clear()
 
 
-#: artifact kinds the engine persists (see :mod:`repro.store`)
-_KIND_CSR = "csr"
-_KIND_PATHSET = "pathset"
+def _decode_compiled(fingerprint: str, arrays, meta) -> CompiledTopology:
+    return CompiledTopology.from_arrays(
+        fingerprint, tuple(meta["names"]), arrays["indptr"], arrays["indices"]
+    )
 
 
-def _compiled_from_store(
-    store: "_store.ArtifactStore", fingerprint: str
-) -> Optional[CompiledTopology]:
-    """Second-tier lookup: rehydrate stored CSR tables, or ``None``."""
-    artifact = store.get(_KIND_CSR, (fingerprint,))
-    if artifact is None:
-        return None
-    try:
-        return CompiledTopology.from_arrays(
-            fingerprint,
-            tuple(artifact.meta["names"]),
-            artifact.arrays["indptr"],
-            artifact.arrays["indices"],
-        )
-    except (KeyError, TypeError):  # foreign/legacy payload: recompile
-        return None
-
-
-def _compiled_to_store(
-    store: "_store.ArtifactStore", compiled: CompiledTopology
-) -> None:
-    """Write-through after a fresh compile; store trouble (disk full,
-    permissions) never aborts the computation that succeeded."""
+def _encode_compiled(compiled: CompiledTopology):
     indptr, indices = compiled.csr_arrays()
-    try:
-        store.put(
-            _KIND_CSR,
-            (compiled.fingerprint,),
-            {"indptr": indptr, "indices": indices},
-            {"names": list(compiled.names)},
-        )
-    except StoreError:
-        pass
+    return (
+        {"indptr": indptr, "indices": indices},
+        {"names": list(compiled.names)},
+    )
+
+
+#: Compiled topologies, warm-started from ``csr`` artifacts.
+_CSR_TIER = _store.Tier("csr", _COMPILED, _encode_compiled, _decode_compiled)
 
 
 def compile_topology(topology: Topology) -> CompiledTopology:
@@ -1128,23 +1050,17 @@ def compile_topology(topology: Topology) -> CompiledTopology:
     cached = getattr(topology, "_compiled", None)
     if cached is not None and cached.fingerprint == fingerprint:
         return cached
-    compiled = _COMPILED.get(fingerprint)
-    if compiled is None:
-        store = _store.active_store()
-        if store is not None:
-            compiled = _compiled_from_store(store, fingerprint)
-            if compiled is not None:
-                _COMPILED.put(fingerprint, compiled)
-    if compiled is None:
+
+    def compile_() -> CompiledTopology:
         with _trace.span("engine.compile", fingerprint=fingerprint) as span:
             compiled = CompiledTopology.from_topology(topology, fingerprint)
             span.set(nodes=compiled.n, edges=len(compiled.indices) // 2)
         with _STATS_LOCK:
             _STATS["compilations"] += 1
         _M_COMPILATIONS.inc()
-        _COMPILED.put(fingerprint, compiled)
-        if store is not None:
-            _compiled_to_store(store, compiled)
+        return compiled
+
+    compiled = _CSR_TIER.fetch(fingerprint, compile_)
     try:
         topology._compiled = compiled  # type: ignore[attr-defined]
     except AttributeError:  # exotic Topology subclasses with __slots__
@@ -1196,36 +1112,26 @@ def _enumerate(
     return result
 
 
-def _paths_from_store(
-    store: "_store.ArtifactStore", store_key: Tuple[str, ...]
-) -> Optional[Tuple[Tuple[Path, ...], bool]]:
-    """Second-tier PathSet lookup: unpack a stored enumeration."""
-    artifact = store.get(_KIND_PATHSET, store_key)
-    if artifact is None:
-        return None
-    try:
-        paths = tuple(
-            _store.decode_paths(artifact.arrays, artifact.meta["names"])
-        )
-        truncated = bool(artifact.meta["truncated"])
-    except (KeyError, TypeError, IndexError):  # foreign payload: re-enumerate
-        return None
-    return paths, truncated
+def _decode_paths(key, arrays, meta) -> Tuple[Tuple[Path, ...], bool]:
+    paths = tuple(_store.decode_paths(arrays, meta["names"]))
+    return paths, bool(meta["truncated"])
 
 
-def _paths_to_store(
-    store: "_store.ArtifactStore", store_key: Tuple[str, ...], result: PathSet
-) -> None:
-    arrays, names = _store.encode_paths(result.paths)
-    try:
-        store.put(
-            _KIND_PATHSET,
-            store_key,
-            arrays,
-            {"names": names, "truncated": result.truncated},
-        )
-    except StoreError:
-        pass
+def _encode_paths(value: Tuple[Tuple[Path, ...], bool]):
+    paths, truncated = value
+    arrays, names = _store.encode_paths(paths)
+    return arrays, {"names": names, "truncated": truncated}
+
+
+#: Memoized enumerations ``(paths, truncated)``, warm-started from
+#: ``pathset`` artifacts; the weight is the total path elements.
+_PATH_TIER = _store.Tier(
+    "pathset",
+    _PATHS,
+    _encode_paths,
+    _decode_paths,
+    lambda value: sum(map(len, value[0])) + 1,
+)
 
 
 def discover(
@@ -1250,41 +1156,27 @@ def discover(
     ) as span:
         _check_endpoints(topology, requester, provider)
         compiled = compile_topology(topology)
-        key = (compiled.fingerprint, requester, provider, max_depth, max_paths)
-        store = _store.active_store() if use_cache else None
-        store_key = (
-            compiled.fingerprint,
-            requester,
-            provider,
-            repr(max_depth),
-            repr(max_paths),
+        if not use_cache:
+            result = _enumerate(
+                compiled, requester, provider, max_depth, max_paths
+            )
+            span.set(cached=False, paths=len(result.paths))
+            return result
+        span.set(cached=True)
+
+        def enumerate_() -> Tuple[Tuple[Path, ...], bool]:
+            span.set(cached=False)
+            result = _enumerate(
+                compiled, requester, provider, max_depth, max_paths
+            )
+            return tuple(result.paths), result.truncated
+
+        paths, truncated = _PATH_TIER.fetch(
+            (compiled.fingerprint, requester, provider, max_depth, max_paths),
+            enumerate_,
         )
-        if use_cache:
-            hit = _PATHS.get(key)
-            if hit is not None:
-                paths, truncated = hit
-                span.set(cached=True, paths=len(paths))
-                return PathSet(
-                    requester, provider, list(paths), truncated=truncated
-                )
-            if store is not None:
-                stored = _paths_from_store(store, store_key)
-                if stored is not None:
-                    paths, truncated = stored
-                    weight = sum(map(len, paths)) + 1
-                    _PATHS.put(key, (paths, truncated), weight=weight)
-                    span.set(cached=True, paths=len(paths))
-                    return PathSet(
-                        requester, provider, list(paths), truncated=truncated
-                    )
-        result = _enumerate(compiled, requester, provider, max_depth, max_paths)
-        span.set(cached=False, paths=len(result.paths))
-        if use_cache:
-            weight = sum(map(len, result.paths)) + 1
-            _PATHS.put(key, (tuple(result.paths), result.truncated), weight=weight)
-            if store is not None:
-                _paths_to_store(store, store_key, result)
-        return result
+        span.set(paths=len(paths))
+        return PathSet(requester, provider, list(paths), truncated=truncated)
 
 
 def count(
@@ -1335,7 +1227,6 @@ def discover_many(
     max_paths: Optional[int] = None,
     jobs: Optional[int] = None,
     use_cache: bool = True,
-    return_exceptions: bool = False,
 ) -> Dict[Tuple[str, str], PathSet]:
     """Discover paths for many (requester, provider) pairs.
 
@@ -1349,10 +1240,7 @@ def discover_many(
 
     A failing worker never surfaces as a bare future error: the raised
     :class:`PathDiscoveryError` names the (requester, provider) pair that
-    failed.  With ``return_exceptions=True`` (the mode the resilient
-    runner builds on) no worker failure raises at all — the result dict
-    maps each failed pair to its exception instance instead of a
-    :class:`PathSet`, so one bad pair cannot abort the whole batch.
+    failed.
     """
     if jobs is not None and jobs < 1:
         raise PathDiscoveryError(
@@ -1377,8 +1265,6 @@ def discover_many(
                     use_cache=use_cache,
                 )
         except Exception as exc:
-            if return_exceptions:
-                return exc
             if isinstance(exc, PathDiscoveryError):
                 raise PathDiscoveryError(
                     f"pair ({pair[0]!r}, {pair[1]!r}): {exc}"
@@ -1516,8 +1402,9 @@ def discover_delta_compiled(
         _M_DELTA_ASSEMBLIES.inc()
         span.set(cached=False, paths=len(result.paths))
         if use_cache:
-            weight = sum(map(len, result.paths)) + 1
-            _PATHS.put(key, (tuple(result.paths), False), weight=weight)
+            _PATH_TIER.put(
+                key, (tuple(result.paths), False), write_through=False
+            )
         return result
 
 

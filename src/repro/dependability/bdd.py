@@ -58,11 +58,11 @@ from typing import (
 import numpy as np
 
 from repro import store as _store
-from repro.core.engine import _LRU, compile_topology
+from repro.core.engine import CompiledTopology, compile_topology
 from repro.dependability import _bddreorder
 from repro.dependability._bddtables import ComputedTable, UniqueTable
 from repro.dependability.cutsets import minimize_sets
-from repro.errors import AnalysisError, StoreError
+from repro.errors import AnalysisError
 from repro.network.topology import Topology
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
@@ -79,6 +79,7 @@ __all__ = [
     "structure_fingerprint",
     "frequency_order",
     "order_from_topology",
+    "order_from_compiled",
     "system_availability_bdd",
     "pair_availability_bdd",
     "kernel_stats",
@@ -646,7 +647,7 @@ _STATS = {"compilations": 0, "evaluations": 0, "cache_hits": 0}
 #: Compiled kernels keyed by structure fingerprint.  The weight budget
 #: (total BDD nodes retained) mirrors the engine's PathSet cache: a sweep
 #: over many structures cannot grow memory without bound.
-_KERNELS = _LRU(maxsize=256, max_weight=2_000_000)
+_KERNELS = _store.LRU(maxsize=256, max_weight=2_000_000)
 
 _M_COMPILATIONS = _metrics.counter(
     "repro_bdd_compilations_total",
@@ -1298,14 +1299,21 @@ def frequency_order(
 def order_from_topology(
     topology: Topology, components: Iterable[str]
 ) -> Tuple[str, ...]:
-    """Variable order from the compiled engine's CSR ids.
+    """Variable order from the compiled engine's CSR ids (see
+    :func:`order_from_compiled`)."""
+    return order_from_compiled(compile_topology(topology), components)
+
+
+def order_from_compiled(
+    compiled: CompiledTopology, components: Iterable[str]
+) -> Tuple[str, ...]:
+    """Variable order from a compiled topology's CSR ids.
 
     Node components sort by their CSR id; a link component ``a|b`` sorts
     right after its lower-id endpoint (keeping each cable adjacent to the
     device it hangs off), and names unknown to the topology go last in
     lexical order.
     """
-    compiled = compile_topology(topology)
     index = compiled.index
 
     def key(name: str) -> Tuple[int, int, int, str]:
@@ -1356,60 +1364,43 @@ def structure_fingerprint(
     return digest.hexdigest()
 
 
-#: artifact kind the kernel tier persists (see :mod:`repro.store`)
-_KIND_KERNEL = "kernel"
+def _decode_kernel(fingerprint: str, arrays, meta) -> AvailabilityKernel:
+    return AvailabilityKernel.from_flat(
+        arrays["var"],
+        arrays["low"],
+        arrays["high"],
+        int(meta["root_pos"]),
+        arrays["group_pos"],
+        meta["variables"],
+        fingerprint,
+    )
 
 
-def _kernel_from_store(
-    store: "_store.ArtifactStore", fingerprint: str, *, copy: bool = False
-) -> Optional[AvailabilityKernel]:
-    """Second-tier lookup: rebuild a stored kernel's linearized DAG as
-    zero-copy mmap views — or, with *copy*, as in-memory arrays that
-    outlive the file — or ``None`` on miss/corruption/foreign data."""
-    artifact = store.get(_KIND_KERNEL, (fingerprint,))
-    if artifact is None:
-        return None
-    arrays = artifact.arrays
-    if copy:
-        arrays = {name: np.array(array) for name, array in arrays.items()}
-    try:
-        return AvailabilityKernel.from_flat(
-            arrays["var"],
-            arrays["low"],
-            arrays["high"],
-            int(artifact.meta["root_pos"]),
-            arrays["group_pos"],
-            artifact.meta["variables"],
-            fingerprint,
-        )
-    except (KeyError, TypeError, ValueError, AnalysisError):
-        return None
-
-
-def _kernel_to_store(
-    store: "_store.ArtifactStore", kernel: AvailabilityKernel
-) -> None:
-    """Write a kernel's flat arrays through (works for plain and
-    incremental-snapshot kernels alike); store trouble never aborts the
-    compilation that produced the kernel."""
+def _encode_kernel(kernel: AvailabilityKernel):
+    """A kernel's flat arrays (plain and incremental-snapshot kernels
+    alike)."""
     var, low, high, root_pos = kernel.flat_arrays()
-    try:
-        store.put(
-            _KIND_KERNEL,
-            (kernel.fingerprint,),
-            {
-                "var": np.asarray(var, dtype=np.int64),
-                "low": np.asarray(low, dtype=np.int64),
-                "high": np.asarray(high, dtype=np.int64),
-                "group_pos": np.asarray(kernel._group_pos, dtype=np.int64),
-            },
-            {
-                "root_pos": int(root_pos),
-                "variables": list(kernel.variables),
-            },
-        )
-    except StoreError:
-        pass
+    return (
+        {
+            "var": np.asarray(var, dtype=np.int64),
+            "low": np.asarray(low, dtype=np.int64),
+            "high": np.asarray(high, dtype=np.int64),
+            "group_pos": np.asarray(kernel._group_pos, dtype=np.int64),
+        },
+        {"root_pos": int(root_pos), "variables": list(kernel.variables)},
+    )
+
+
+def _kernel_weight(kernel: AvailabilityKernel) -> int:
+    """Nodes the kernel retains: its whole manager when it has one."""
+    return len(kernel._bdd) if kernel._bdd is not None else kernel.size + 2
+
+
+#: Compiled kernels keyed by cache key, warm-started from ``kernel``
+#: artifacts.
+_KERNEL_TIER = _store.Tier(
+    "kernel", _KERNELS, _encode_kernel, _decode_kernel, _kernel_weight
+)
 
 
 #: process-wide compile-plane defaults, set by :func:`configure_compile`
@@ -1578,54 +1569,43 @@ def compile_structure(
     groups, ordered, fingerprint, cache_key = _prepare_structure(
         path_set_groups, order, mode
     )
-    store = _store.active_store() if use_cache else None
-    if use_cache:
-        cached = _KERNELS.get(cache_key)
-        if cached is not None:
-            return cached
-        if store is not None:
-            loaded = _kernel_from_store(store, cache_key)
-            if loaded is not None:
-                _KERNELS.put(cache_key, loaded, weight=loaded.size + 2)
-                return loaded
 
-    with _trace.span(
-        "bdd.compile",
-        variables=len(ordered),
-        groups=len(groups),
-        fingerprint=fingerprint,
-    ) as span:
-        bdd = BDD(len(ordered))
-        index = {name: i for i, name in enumerate(ordered)}
-        group_roots = _build_group_roots(bdd, index, groups)
-        unique_roots = list(dict.fromkeys(group_roots))
-        system = bdd.reduce_many(
-            _OP_AND, [np.array(unique_roots, dtype=np.int64)]
-        )[0]
-        variables = tuple(ordered)
-        incidences = sum(len(path) for group in groups for path in group)
-        if mode == "sift" or (
-            mode == "auto"
-            and len(bdd) - 2 >= _AUTO_MIN_NODES
-            and len(bdd) - 2 >= _AUTO_GROWTH * max(1, incidences)
-        ):
-            bdd, system, group_roots, variables = _sift_compiled(
-                bdd, system, group_roots, variables
+    def compile_() -> AvailabilityKernel:
+        with _trace.span(
+            "bdd.compile",
+            variables=len(ordered),
+            groups=len(groups),
+            fingerprint=fingerprint,
+        ) as span:
+            bdd = BDD(len(ordered))
+            index = {name: i for i, name in enumerate(ordered)}
+            group_roots = _build_group_roots(bdd, index, groups)
+            unique_roots = list(dict.fromkeys(group_roots))
+            system = bdd.reduce_many(
+                _OP_AND, [np.array(unique_roots, dtype=np.int64)]
+            )[0]
+            variables = tuple(ordered)
+            incidences = sum(len(path) for group in groups for path in group)
+            if mode == "sift" or (
+                mode == "auto"
+                and len(bdd) - 2 >= _AUTO_MIN_NODES
+                and len(bdd) - 2 >= _AUTO_GROWTH * max(1, incidences)
+            ):
+                bdd, system, group_roots, variables = _sift_compiled(
+                    bdd, system, group_roots, variables
+                )
+            kernel = AvailabilityKernel(
+                bdd, system, group_roots, variables, cache_key
             )
-        kernel = AvailabilityKernel(
-            bdd, system, group_roots, variables, cache_key
-        )
-        span.set(nodes=len(bdd) - 2, ite_cache_hits=bdd.cache_hits)
-    with _STATS_LOCK:
-        _STATS["compilations"] += 1
-    _M_COMPILATIONS.inc()
-    _M_NODES_ALLOCATED.inc(len(bdd) - 2)
-    _flush_table_metrics(bdd)
-    if use_cache:
-        _KERNELS.put(cache_key, kernel, weight=len(bdd))
-        if store is not None:
-            _kernel_to_store(store, kernel)
-    return kernel
+            span.set(nodes=len(bdd) - 2, ite_cache_hits=bdd.cache_hits)
+        with _STATS_LOCK:
+            _STATS["compilations"] += 1
+        _M_COMPILATIONS.inc()
+        _M_NODES_ALLOCATED.inc(len(bdd) - 2)
+        _flush_table_metrics(bdd)
+        return kernel
+
+    return _KERNEL_TIER.fetch(cache_key, compile_) if use_cache else compile_()
 
 
 def compile_pair(
@@ -1655,10 +1635,10 @@ def _compile_worker(
     fork-inherited cache entry can never skip the write."""
     store = _store.configure(store_root)
     for groups, order in tasks:
-        _kernel_to_store(
-            store,
-            compile_structure(groups, order=order, use_cache=False, reorder=mode),
+        kernel = compile_structure(
+            groups, order=order, use_cache=False, reorder=mode
         )
+        _KERNEL_TIER.save(store, kernel.fingerprint, kernel)
 
 
 def compile_many(
@@ -1719,18 +1699,9 @@ def compile_many(
         todo: Dict[str, List[int]] = {}
         for i, (_, _, _, cache_key) in enumerate(prepared):
             if use_cache:
-                cached = _KERNELS.get(cache_key)
-                if cached is not None:
-                    results[i] = cached
+                results[i] = _KERNEL_TIER.get(cache_key)
+                if results[i] is not None:
                     continue
-                if store is not None:
-                    loaded = _kernel_from_store(store, cache_key)
-                    if loaded is not None:
-                        _KERNELS.put(
-                            cache_key, loaded, weight=loaded.size + 2
-                        )
-                        results[i] = loaded
-                        continue
             todo.setdefault(cache_key, []).append(i)
         shipped = fallback = 0
         if todo:
@@ -1766,7 +1737,7 @@ def compile_many(
                 except (AnalysisError, OSError):
                     pass  # whatever did not come back compiles in-process
                 for cache_key, indices in todo.items():
-                    kernel = _kernel_from_store(
+                    kernel = _KERNEL_TIER.load(
                         target, cache_key, copy=store is None
                     )
                     if kernel is None:
@@ -1780,7 +1751,9 @@ def compile_many(
                     else:
                         shipped += 1
                         if use_cache:
-                            _KERNELS.put(cache_key, kernel, weight=kernel.size + 2)
+                            _KERNEL_TIER.put(
+                                cache_key, kernel, write_through=False
+                            )
                     for i in indices:
                         results[i] = kernel
         span.set(compiled=len(todo), shipped=shipped, fallback=fallback)

@@ -21,7 +21,6 @@ from repro.dimensions.builtins import (
     resolve_availability,
 )
 from repro.dimensions.evaluate import (
-    KIND_DIMENSION_KERNEL,
     DimensionReport,
     DimensionValue,
     EvaluationContext,
@@ -58,7 +57,6 @@ __all__ = [
     "DimensionReport",
     "DimensionValue",
     "EvaluationContext",
-    "KIND_DIMENSION_KERNEL",
     "LAWS",
     "MODES",
     "PROB_RULES",

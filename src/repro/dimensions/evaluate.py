@@ -12,15 +12,12 @@ over a (k_tables, n_variables) matrix).  Semiring dimensions fold the
 canonical groups directly; custom dimensions receive the shared
 :class:`EvaluationContext`.
 
-Store interaction: with an artifact store active, the dimension plane
-persists its own ``"dimkernel"`` artifacts keyed by *(structure
-fingerprint, dimension-set fingerprint)* — the registry's
-:meth:`~repro.dimensions.registry.DimensionRegistry.fingerprint` over the
-selected dimensions' signatures.  Registering a custom dimension (or
-changing any dimension's math) therefore changes the key: a fresh
-process with a different dimension set can never warm-start from an
-artifact built for another set, and the stored signatures are
-re-verified at load time as a second guard.
+Store interaction: the kernel comes from
+:func:`~repro.dependability.bdd.compile_structure`, so it warm-starts
+from the same ``kernel`` artifact as every other caller.  The compiled
+BDD depends only on the path sets and the variable order, never on
+which dimensions read it, so a process with a different dimension set
+(a custom dimension registered, say) reuses it unchanged.
 """
 
 from __future__ import annotations
@@ -42,8 +39,6 @@ import numpy as np
 from repro.errors import AnalysisError
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-import repro.store as _store
-from repro.store import StoreError
 
 from repro.dimensions.registry import (
     AnnotationSpec,
@@ -58,13 +53,7 @@ __all__ = [
     "DimensionValue",
     "DimensionReport",
     "evaluate_dimensions",
-    "KIND_DIMENSION_KERNEL",
 ]
-
-#: Artifact kind of the dimension plane's kernel tier.  Distinct from the
-#: plain ``"kernel"`` kind: these keys include the dimension-set
-#: fingerprint, so artifacts are never shared across dimension sets.
-KIND_DIMENSION_KERNEL = "dimkernel"
 
 _M_EVALUATIONS = _metrics.counter(
     "repro_dimensions_evaluations_total",
@@ -115,7 +104,7 @@ def _as_groups(
 class EvaluationContext:
     """The state one :func:`evaluate_dimensions` call shares between all
     selected dimensions: canonical groups, memoized annotation tables,
-    and the (lazily compiled, store-aware) BDD kernel.
+    and the (lazily compiled) BDD kernel.
 
     Custom dimensions receive this object; its public surface is
     :attr:`groups` (canonical per-pair path tuples, each path a sorted
@@ -130,7 +119,6 @@ class EvaluationContext:
         include_links: bool = True,
         formula: str = "paper",
         annotations: Optional[Mapping[str, Mapping[str, float]]] = None,
-        use_store: bool = True,
     ):
         path_groups, model, order = _as_groups(
             structure, include_links=include_links
@@ -158,10 +146,6 @@ class EvaluationContext:
         }
         self._tables: Dict[str, Dict[str, float]] = {}
         self._kernel = None
-        self.use_store = use_store
-        #: ``"hit"``/``"miss"`` when an artifact store served/recorded the
-        #: dimension kernel, else ``None`` (no store, or kernel unused).
-        self.store_event: Optional[str] = None
 
     def table(self, spec: AnnotationSpec) -> Dict[str, float]:
         """The validated component table for one annotation spec,
@@ -183,69 +167,14 @@ class EvaluationContext:
         self._tables[spec.key] = table
         return table
 
-    def kernel(self, dimension_fingerprint: str):
-        """The compiled kernel of :attr:`path_groups`, warm-started from
-        the store's dimension-aware tier when possible."""
-        if self._kernel is not None:
-            return self._kernel
-        from repro.dependability.bdd import (
-            AvailabilityKernel,
-            compile_structure,
-            frequency_order,
-            structure_fingerprint,
-        )
+    def kernel(self):
+        """The compiled kernel of :attr:`path_groups`."""
+        if self._kernel is None:
+            from repro.dependability.bdd import compile_structure
 
-        order = tuple(self._order) if self._order else frequency_order(
-            self.path_groups
-        )
-        structure_fp = structure_fingerprint(self.path_groups, order)
-        store = _store.active_store() if self.use_store else None
-        if store is not None:
-            artifact = store.get(
-                KIND_DIMENSION_KERNEL, (structure_fp, dimension_fingerprint)
+            self._kernel = compile_structure(
+                self.path_groups, order=self._order
             )
-            if artifact is not None and artifact.meta.get(
-                "dimension_fingerprint"
-            ) == dimension_fingerprint:
-                try:
-                    self._kernel = AvailabilityKernel.from_flat(
-                        artifact.arrays["var"],
-                        artifact.arrays["low"],
-                        artifact.arrays["high"],
-                        int(artifact.meta["root_pos"]),
-                        artifact.arrays["group_pos"],
-                        artifact.meta["variables"],
-                        structure_fp,
-                    )
-                except (KeyError, TypeError, ValueError, AnalysisError):
-                    self._kernel = None
-                if self._kernel is not None:
-                    self.store_event = "hit"
-                    return self._kernel
-        self._kernel = compile_structure(self.path_groups, order=order)
-        if store is not None:
-            var, low, high, root_pos = self._kernel.flat_arrays()
-            try:
-                store.put(
-                    KIND_DIMENSION_KERNEL,
-                    (structure_fp, dimension_fingerprint),
-                    {
-                        "var": np.asarray(var, dtype=np.int64),
-                        "low": np.asarray(low, dtype=np.int64),
-                        "high": np.asarray(high, dtype=np.int64),
-                        "group_pos": np.asarray(
-                            self._kernel._group_pos, dtype=np.int64
-                        ),
-                    },
-                    {
-                        "root_pos": int(root_pos),
-                        "variables": list(self._kernel.variables),
-                        "dimension_fingerprint": dimension_fingerprint,
-                    },
-                )
-            except StoreError:
-                pass
-            self.store_event = "miss"
         return self._kernel
 
 
@@ -277,14 +206,12 @@ class DimensionReport:
         *,
         dimension_fingerprint: str,
         kernel_fingerprint: Optional[str] = None,
-        store_event: Optional[str] = None,
     ):
         self._values: Dict[str, DimensionValue] = {
             value.name: value for value in values
         }
         self.dimension_fingerprint = dimension_fingerprint
         self.kernel_fingerprint = kernel_fingerprint
-        self.store_event = store_event
 
     def names(self) -> Tuple[str, ...]:
         return tuple(self._values)
@@ -361,7 +288,6 @@ def evaluate_dimensions(
     include_links: bool = True,
     formula: str = "paper",
     registry: Optional[DimensionRegistry] = None,
-    use_store: bool = True,
 ) -> DimensionReport:
     """Evaluate registered dimensions over one compiled structure.
 
@@ -393,7 +319,6 @@ def evaluate_dimensions(
         include_links=include_links,
         formula=formula,
         annotations=annotations,
-        use_store=use_store,
     )
     with _trace.span(
         "dimensions.evaluate",
@@ -407,7 +332,7 @@ def evaluate_dimensions(
         prob_results: Dict[str, Tuple[float, np.ndarray]] = {}
         kernel = None
         if prob_dimensions:
-            kernel = context.kernel(dimension_fp)
+            kernel = context.kernel()
             table_keys: List[str] = []
             for dimension in prob_dimensions:
                 if dimension.primary.key not in table_keys:
@@ -476,5 +401,4 @@ def evaluate_dimensions(
         values,
         dimension_fingerprint=dimension_fp,
         kernel_fingerprint=kernel.fingerprint if kernel is not None else None,
-        store_event=context.store_event,
     )

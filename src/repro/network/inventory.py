@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
-import networkx as nx
-
 from repro.dependability.availability import (
     downtime_minutes_per_year,
     instance_availability,
@@ -100,6 +98,9 @@ def articulation_points(topology: Topology) -> Set[str]:
 
     These are topology-level single points of failure for *some* pair;
     whether they matter for a given user is exactly what the UPSIM
-    analysis answers per pair.
+    analysis answers per pair.  They are the engine's cut vertices of
+    the compiled topology.
     """
-    return set(nx.articulation_points(topology.to_networkx()))
+    from repro.core.engine import compile_topology  # import cycle
+
+    return set(compile_topology(topology).articulation_points())

@@ -10,8 +10,7 @@ future service deploy — skips recompilation entirely:
 * objects live under ``<root>/objects/<digest[:2]>/<digest>`` where the
   digest is a blake2b hash of ``(kind, key parts)`` — the same logical
   key the in-process LRUs use, so the store is a transparent second
-  cache tier underneath them (LRU miss → store lookup → recompile with
-  write-through);
+  cache tier underneath them;
 * writes are atomic (``tmp`` file + :func:`os.replace`) and serialized
   by an advisory file lock, so concurrent writers — shard workers,
   parallel CLI runs — can race on the same object without ever exposing
@@ -43,9 +42,24 @@ offsets relative to the payload start, so readers slice typed views
 straight out of the mapping.  Meta stays JSON (names tables, scalars,
 provenance) — it is tiny next to the arrays.
 
+Warm starts go through one rule, :class:`Tier`: the in-process
+:class:`LRU`, then the active store (a hit moves into the LRU), then the
+caller's computation, whose result is written to the LRU and through to
+the store.  A store error or a corrupt or foreign payload counts as a
+miss.  Three artifact kinds use it:
+
+* ``csr`` — a compiled topology's CSR tables, keyed by the topology
+  fingerprint (:func:`repro.core.engine.compile_topology`);
+* ``pathset`` — one enumeration, keyed by fingerprint, endpoints and
+  bounds (:func:`repro.core.engine.discover`);
+* ``kernel`` — a compiled BDD's linearized DAG, keyed by the structure
+  fingerprint (:func:`repro.dependability.bdd.compile_structure` and
+  ``compile_many``).
+
 Nothing in this module imports the engine or the kernel: the store
 moves raw arrays and metadata; ``repro.core.engine`` and
-``repro.dependability.bdd`` reconstruct their objects from them.
+``repro.dependability.bdd`` hand each :class:`Tier` the encode and
+decode functions that rebuild their objects.
 """
 
 from __future__ import annotations
@@ -58,12 +72,24 @@ import os
 import struct
 import tempfile
 import threading
+from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
-from repro.errors import StoreError
+from repro.errors import ReproError, StoreError
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 
@@ -75,6 +101,8 @@ except ImportError:  # pragma: no cover - non-POSIX
 __all__ = [
     "Artifact",
     "ArtifactStore",
+    "LRU",
+    "Tier",
     "StoredObject",
     "active_store",
     "configure",
@@ -681,3 +709,149 @@ def active_store() -> Optional[ArtifactStore]:
         return _store_for(root)
     except StoreError:
         return None
+
+
+# ---------------------------------------------------------------------------
+# the warm-start tier: LRU, then store, then compute with write-through
+# ---------------------------------------------------------------------------
+
+
+class LRU:
+    """A small thread-safe LRU with hit/miss counters.
+
+    Besides the entry-count cap, an optional *max_weight* bounds the sum
+    of per-entry weights (for the PathSet cache: total path elements),
+    so memoizing a run of very large results cannot grow memory without
+    bound — the least recently used entries are evicted first.
+    """
+
+    def __init__(self, maxsize: int, max_weight: Optional[int] = None):
+        self.maxsize = maxsize
+        self.max_weight = max_weight
+        self.data: "OrderedDict[object, object]" = OrderedDict()
+        self.weights: Dict[object, int] = {}
+        self.total_weight = 0
+        self.hits = 0
+        self.misses = 0
+        self.lock = threading.Lock()
+
+    def get(self, key):
+        with self.lock:
+            try:
+                value = self.data[key]
+            except KeyError:
+                self.misses += 1
+                return None
+            self.data.move_to_end(key)
+            self.hits += 1
+            return value
+
+    def put(self, key, value, weight: int = 1) -> None:
+        with self.lock:
+            if key in self.data:
+                self.total_weight -= self.weights.get(key, 0)
+            self.data[key] = value
+            self.weights[key] = weight
+            self.total_weight += weight
+            self.data.move_to_end(key)
+            while len(self.data) > self.maxsize or (
+                self.max_weight is not None
+                and self.total_weight > self.max_weight
+                and len(self.data) > 1
+            ):
+                evicted, _ = self.data.popitem(last=False)
+                self.total_weight -= self.weights.pop(evicted, 0)
+
+    def clear(self) -> None:
+        with self.lock:
+            self.data.clear()
+            self.weights.clear()
+            self.total_weight = 0
+            self.hits = 0
+            self.misses = 0
+
+
+def _key_parts(key: object) -> Tuple[str, ...]:
+    """The store key of an LRU key: a string or a tuple of parts, each
+    non-string part by its ``repr`` (``None`` bounds read ``"None"``)."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return tuple(p if isinstance(p, str) else repr(p) for p in parts)
+
+
+class Tier:
+    """One artifact kind's warm-start path over one :class:`LRU`.
+
+    *encode* turns a value into ``(arrays, meta)`` for the store;
+    *decode* rebuilds it from ``(key, arrays, meta)`` and may raise on a
+    foreign payload, which then reads as a miss; *weight* is the value's
+    LRU weight.
+    """
+
+    __slots__ = ("kind", "lru", "encode", "decode", "weight")
+
+    def __init__(
+        self,
+        kind: str,
+        lru: LRU,
+        encode: Callable[[Any], Tuple[Dict[str, np.ndarray], Dict[str, Any]]],
+        decode: Callable[[Any, Mapping[str, np.ndarray], Mapping[str, Any]], Any],
+        weight: Callable[[Any], int] = lambda value: 1,
+    ):
+        self.kind = kind
+        self.lru = lru
+        self.encode = encode
+        self.decode = decode
+        self.weight = weight
+
+    def get(self, key):
+        """The LRU entry, else the active store's (moved into the LRU),
+        else ``None``."""
+        value = self.lru.get(key)
+        if value is None:
+            store = active_store()
+            if store is not None:
+                value = self.load(store, key)
+                if value is not None:
+                    self.put(key, value, write_through=False)
+        return value
+
+    def put(self, key, value, *, write_through: bool = True) -> None:
+        """Remember *value* in the LRU and, unless told otherwise, write
+        it through to the active store."""
+        self.lru.put(key, value, weight=self.weight(value))
+        if write_through:
+            store = active_store()
+            if store is not None:
+                self.save(store, key, value)
+
+    def fetch(self, key, compute: Callable[[], Any]):
+        """:meth:`get`, else ``compute()`` written through by :meth:`put`."""
+        value = self.get(key)
+        if value is None:
+            value = compute()
+            self.put(key, value)
+        return value
+
+    def load(self, store: ArtifactStore, key, *, copy: bool = False):
+        """Decode *key* from *store*, or ``None`` on a miss, a corrupt
+        object or a foreign payload.  With *copy* the arrays are copied
+        out of the mapping, so the value outlives the file."""
+        artifact = store.get(self.kind, _key_parts(key))
+        if artifact is None:
+            return None
+        arrays = artifact.arrays
+        if copy:
+            arrays = {name: np.array(array) for name, array in arrays.items()}
+        try:
+            return self.decode(key, arrays, artifact.meta)
+        except (KeyError, TypeError, ValueError, IndexError, ReproError):
+            return None
+
+    def save(self, store: ArtifactStore, key, value) -> None:
+        """Write *value* to *store*; store trouble (disk full,
+        permissions) never aborts the computation that produced it."""
+        arrays, meta = self.encode(value)
+        try:
+            store.put(self.kind, _key_parts(key), arrays, meta)
+        except StoreError:
+            pass

@@ -226,7 +226,11 @@ class TestFallback:
     def test_unloadable_worker_output_is_not_shipped(self, monkeypatch):
         """A kernel the parent cannot load back is a fallback, not a
         shipped kernel, even though its worker succeeded."""
-        monkeypatch.setattr(bdd, "_kernel_from_store", lambda *a, **k: None)
+
+        def foreign(*args):
+            raise KeyError("var")
+
+        monkeypatch.setattr(bdd._KERNEL_TIER, "decode", foreign)
         structures = make_structures(4, seed=5)
         got, attrs = traced_compile_many(structures, jobs=2)
         assert_kernels_equivalent(got, reference_kernels(structures))

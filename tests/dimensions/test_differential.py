@@ -89,7 +89,7 @@ def _legacy_values(groups, table):
 def test_registry_matches_legacy_on_family(family):
     groups, table, _ = structure_for(FAMILIES[family]())
     report = evaluate_dimensions(
-        groups, annotations={"availability": table}, use_store=False
+        groups, annotations={"availability": table}
     )
     legacy = _legacy_values(groups, table)
 
@@ -119,11 +119,11 @@ def test_one_pass_equals_per_dimension_passes(family):
     each alone — the shared kernel pass changes cost, never values."""
     groups, table, _ = structure_for(FAMILIES[family]())
     together = evaluate_dimensions(
-        groups, annotations={"availability": table}, use_store=False
+        groups, annotations={"availability": table}
     )
     for name in together.names():
         alone = evaluate_dimensions(
-            groups, [name], annotations={"availability": table}, use_store=False
+            groups, [name], annotations={"availability": table}
         )
         assert alone[name].value == together[name].value
         assert alone[name].per_pair == together[name].per_pair
@@ -131,7 +131,7 @@ def test_one_pass_equals_per_dimension_passes(family):
 
 class TestCaseStudy:
     def test_upsim_t1_p2(self, upsim_t1_p2):
-        report = evaluate_dimensions(upsim_t1_p2, use_store=False)
+        report = evaluate_dimensions(upsim_t1_p2)
         groups = service_path_set_groups(upsim_t1_p2, include_links=True)
         table = component_availabilities(upsim_t1_p2.model, include_links=True)
         assert report["availability"].value == pytest.approx(
@@ -143,7 +143,7 @@ class TestCaseStudy:
         )
 
     def test_upsim_t15_p3(self, upsim_t15_p3):
-        report = evaluate_dimensions(upsim_t15_p3, use_store=False)
+        report = evaluate_dimensions(upsim_t15_p3)
         groups = service_path_set_groups(upsim_t15_p3, include_links=True)
         table = component_availabilities(upsim_t15_p3.model, include_links=True)
         assert report["availability"].value == pytest.approx(
@@ -157,7 +157,7 @@ class TestCaseStudy:
         )
 
         report = evaluate_dimensions(
-            upsim_t1_p2, ["availability", "performability"], use_store=False
+            upsim_t1_p2, ["availability", "performability"]
         )
         assert service_availability(upsim_t1_p2) == pytest.approx(
             report["availability"].value, abs=1e-12
@@ -171,13 +171,11 @@ class TestCaseStudy:
             upsim_t1_p2,
             ["responsiveness"],
             params={"responsiveness": {"deadline": 1.0}},
-            use_store=False,
         )["responsiveness"].value
         loose = evaluate_dimensions(
             upsim_t1_p2,
             ["responsiveness"],
             params={"responsiveness": {"deadline": 1e6}},
-            use_store=False,
         )["responsiveness"].value
         # with an effectively infinite deadline responsiveness reduces to
         # the pure availability race; a 1 ms deadline over ~11 traversed
@@ -195,10 +193,9 @@ class TestCaseStudy:
             upsim_t1_p2,
             ["latency"],
             annotations={"mean_latency_ms": {c: 2.5 for c in components}},
-            use_store=False,
         )
         default = evaluate_dimensions(
-            upsim_t1_p2, ["latency"], use_store=False
+            upsim_t1_p2, ["latency"]
         )
         assert report["latency"].value == pytest.approx(
             2.5 * default["latency"].value, abs=1e-9

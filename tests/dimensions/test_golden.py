@@ -21,17 +21,17 @@ User-perceived dimensions (2 pairs)
 
 class TestDimensionReportText:
     def test_case_study_snapshot(self, upsim_t1_p2):
-        report = evaluate_dimensions(upsim_t1_p2, use_store=False)
+        report = evaluate_dimensions(upsim_t1_p2)
         assert report.to_text() == GOLDEN_TABLE
 
     def test_no_trailing_whitespace(self, upsim_t1_p2):
-        report = evaluate_dimensions(upsim_t1_p2, use_store=False)
+        report = evaluate_dimensions(upsim_t1_p2)
         for line in report.to_text().splitlines():
             assert line == line.rstrip()
 
     def test_subset_order_follows_selection(self, upsim_t1_p2):
         report = evaluate_dimensions(
-            upsim_t1_p2, ["cost", "availability"], use_store=False
+            upsim_t1_p2, ["cost", "availability"]
         )
         lines = report.to_text().splitlines()
         assert lines[2].split()[0] == "cost"
@@ -39,7 +39,7 @@ class TestDimensionReportText:
 
     def test_to_dict_shape(self, upsim_t1_p2):
         report = evaluate_dimensions(
-            upsim_t1_p2, ["availability", "latency"], use_store=False
+            upsim_t1_p2, ["availability", "latency"]
         )
         data = report.to_dict()
         assert set(data) == {"availability", "latency"}

@@ -115,11 +115,11 @@ class TestZeroComponentStructures:
 
     def test_evaluate_dimensions_rejects_componentless_structure(self):
         with pytest.raises(AnalysisError, match="at least one component"):
-            evaluate_dimensions([[fs(())]], ["cost"], use_store=False)
+            evaluate_dimensions([[fs(())]], ["cost"])
         with pytest.raises(AnalysisError, match="at least one group"):
-            evaluate_dimensions([], ["cost"], use_store=False)
+            evaluate_dimensions([], ["cost"])
         with pytest.raises(AnalysisError, match="never connected"):
-            evaluate_dimensions([[fs("a")], []], ["cost"], use_store=False)
+            evaluate_dimensions([[fs("a")], []], ["cost"])
 
     def test_trivially_connected_pair_through_registry(self):
         # a pair with an empty path alongside a real one: availability of
@@ -130,7 +130,6 @@ class TestZeroComponentStructures:
             groups,
             ["availability", "performability"],
             annotations={"availability": {"a": 0.7, "b": 0.4}},
-            use_store=False,
         )
         assert report["availability"].per_pair == (0.7, 1.0)
         assert report["availability"].value == pytest.approx(0.7, abs=1e-15)

@@ -1,11 +1,11 @@
 """Store × dimension-registry interaction (fresh-process warm start).
 
-The dimension plane persists ``"dimkernel"`` artifacts keyed by
-*(structure fingerprint, dimension-set fingerprint)*.  The contract under
-test: a second process with the same dimension set warm-starts (hit, same
-fingerprint, bit-identical value), while a process that registered a
-custom dimension computes a *different* fingerprint and therefore misses
-— it must never load the artifact persisted for the built-in-only set.
+The dimension plane compiles its kernel through ``compile_structure``,
+so it warm-starts from the same ``kernel`` artifact as every other
+caller.  The compiled BDD depends only on the path sets and the variable
+order, so a process that registered a custom dimension reuses the
+artifact built for the built-in set, and the store holds no artifact
+kind of the dimension plane's own.
 """
 
 import json
@@ -19,8 +19,9 @@ pytestmark = pytest.mark.dimensions
 
 _SCRIPT = r"""
 import json, sys
+from repro import store
+from repro.dependability import bdd
 from repro.dimensions import (
-    default_registry,
     dimension_from_dict,
     evaluate_dimensions,
     register_dimension,
@@ -30,6 +31,8 @@ fs = frozenset
 GROUPS = [[fs({"a", "x"}), fs({"b", "x"})], [fs({"x", "s"})]]
 TABLE = {"a": 0.9, "b": 0.8, "x": 0.99, "s": 0.95}
 
+if "--sift" in sys.argv:
+    bdd.configure_compile(reorder="sift")
 names = ["availability", "performability"]
 if "--custom" in sys.argv:
     register_dimension(
@@ -51,9 +54,11 @@ print(
     json.dumps(
         {
             "fingerprint": report.dimension_fingerprint,
-            "store_event": report.store_event,
-            "availability": report["availability"].value,
-            "performability": report["performability"].value,
+            "kernel_fingerprint": report.kernel_fingerprint,
+            "compilations": bdd.kernel_stats()["compilations"],
+            "store": store.active_store().stats(),
+            "availability": report["availability"].value.hex(),
+            "performability": report["performability"].value.hex(),
             "footprint": (
                 report["footprint"].value if "footprint" in report else None
             ),
@@ -79,45 +84,43 @@ def _run(store_dir, *extra_args):
     return json.loads(result.stdout.strip().splitlines()[-1])
 
 
-def test_warm_start_hits_only_matching_dimension_set(tmp_path):
+def test_custom_dimension_set_reuses_the_kernel_artifact(tmp_path):
     store = tmp_path / "store"
 
     first = _run(store)
-    assert first["store_event"] == "miss"
+    assert first["compilations"] == 1
+    assert first["store"]["writes"] == 1
 
-    # same dimension set, fresh process: warm start, identical values
-    second = _run(store)
-    assert second["store_event"] == "hit"
-    assert second["fingerprint"] == first["fingerprint"]
-    assert second["availability"] == first["availability"]
-    assert second["performability"] == first["performability"]
-
-    # custom dimension registered: different fingerprint, must MISS —
-    # the stale built-in-only artifact is not acceptable for this set
+    # a custom dimension changes the dimension-set fingerprint, not the
+    # kernel: the fresh process loads the artifact the first one wrote
     custom = _run(store, "--custom")
     assert custom["fingerprint"] != first["fingerprint"]
-    assert custom["store_event"] == "miss"
+    assert custom["compilations"] == 0
+    assert custom["store"]["hits"] == 1
+    assert custom["store"]["writes"] == 0
+    assert custom["kernel_fingerprint"] == first["kernel_fingerprint"]
     assert custom["availability"] == first["availability"]
     assert custom["performability"] == first["performability"]
     # 4 distinct components at unit cost 2.0
     assert custom["footprint"] == pytest.approx(8.0)
 
-    # and the custom set now warm-starts against its own artifact
-    custom_again = _run(store, "--custom")
-    assert custom_again["store_event"] == "hit"
-    assert custom_again["fingerprint"] == custom["fingerprint"]
-    assert custom_again["footprint"] == custom["footprint"]
-
-
-def test_dimkernel_artifacts_are_keyed_separately(tmp_path):
-    store = tmp_path / "store"
-    _run(store)
-    _run(store, "--custom")
-
     from repro.store import _store_for
 
-    objects = list(_store_for(str(store)).objects())
-    dimkernels = [obj for obj in objects if obj.kind == "dimkernel"]
-    # one artifact per dimension set, distinct keys
-    assert len(dimkernels) == 2
-    assert len({obj.key for obj in dimkernels}) == 2
+    kinds = [obj.kind for obj in _store_for(str(store)).objects()]
+    assert kinds == ["kernel"]
+    assert "dimkernel" not in kinds
+
+
+def test_sifted_kernel_fingerprint_is_stable_across_processes(tmp_path):
+    """A warm process reports the fingerprint the cold one compiled
+    under, ``|reorder=sift`` tag included."""
+    store = tmp_path / "store"
+
+    cold = _run(store, "--sift")
+    warm = _run(store, "--sift")
+    assert cold["compilations"] == 1
+    assert warm["compilations"] == 0
+    assert cold["kernel_fingerprint"].endswith("|reorder=sift")
+    assert warm["kernel_fingerprint"] == cold["kernel_fingerprint"]
+    assert warm["availability"] == cold["availability"]
+    assert warm["performability"] == cold["performability"]

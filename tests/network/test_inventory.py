@@ -1,7 +1,17 @@
 """Tests for the infrastructure inventory reporting."""
 
+import networkx as nx
 import pytest
 
+from repro.network import (
+    Topology,
+    balanced_tree,
+    campus,
+    complete,
+    erdos_renyi,
+    ladder,
+    ring,
+)
 from repro.network.inventory import articulation_points, availability_budget, inventory
 
 
@@ -65,3 +75,31 @@ class TestArticulationPoints:
     def test_diamond_articulation_points(self, diamond_topo):
         # e is the only cut vertex (a/b are mutually redundant)
         assert articulation_points(diamond_topo) == {"e"}
+
+    @pytest.mark.parametrize(
+        "builder",
+        [
+            lambda: campus(),
+            lambda: campus(dist_switches=3, edges_per_dist=3),
+            lambda: balanced_tree(3, 3),
+            lambda: ring(6),
+            lambda: ladder(4),
+            lambda: complete(5),
+            lambda: erdos_renyi(12, 0.2, seed=3),
+            lambda: erdos_renyi(16, 0.1, seed=5),
+        ],
+        ids=[
+            "campus",
+            "campus-3x3",
+            "tree",
+            "ring",
+            "ladder",
+            "complete",
+            "erdos-renyi",
+            "erdos-renyi-sparse",
+        ],
+    )
+    def test_matches_networkx(self, builder):
+        topology = Topology(builder().build())
+        expected = set(nx.articulation_points(topology.to_networkx()))
+        assert articulation_points(topology) == expected

@@ -212,22 +212,3 @@ class TestDiscoverManyErrors:
     def test_worker_error_names_the_pair(self, usi_topo):
         with pytest.raises(PathDiscoveryError, match=r"\('t99', 'printS'\)"):
             discover_many(usi_topo, [("t1", "printS"), ("t99", "printS")])
-
-    def test_return_exceptions_mode(self, usi_topo):
-        results = discover_many(
-            usi_topo,
-            [("t1", "printS"), ("t99", "printS")],
-            return_exceptions=True,
-        )
-        assert len(results[("t1", "printS")].paths) > 0
-        assert isinstance(results[("t99", "printS")], PathDiscoveryError)
-
-    def test_return_exceptions_parallel(self, usi_topo):
-        results = discover_many(
-            usi_topo,
-            [("t1", "printS"), ("t99", "printS"), ("p2", "printS")],
-            jobs=3,
-            return_exceptions=True,
-        )
-        assert isinstance(results[("t99", "printS")], PathDiscoveryError)
-        assert len(results[("p2", "printS")].paths) > 0

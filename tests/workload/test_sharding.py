@@ -156,7 +156,7 @@ class TestFallbacks:
             evaluate_sharded(tasks, shards=2)
 
 
-class TestMmapMethod:
+class TestArtifactTransport:
     """The artifact-file transport: workers map per-task artifacts."""
 
     @needs_mp
