@@ -23,7 +23,7 @@ evaluation must use factoring (the default ``method="auto"`` does).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from repro.core.pathdiscovery import PathSet
 from repro.core.upsim import UPSIM
@@ -158,24 +158,21 @@ def service_path_set_groups(
     ]
 
 
-def service_availability_kernel(
-    upsim: UPSIM, *, include_links: bool = True, reorder: Optional[str] = None
-):
+def service_availability_kernel(upsim: UPSIM, *, include_links: bool = True):
     """The compiled BDD kernel of the whole service structure.
 
     Groups follow :func:`service_path_set_groups` order (distinct pairs),
     so ``kernel.group_roots[i]`` is the i-th distinct pair's function.
     The variable order comes from the engine's CSR ids
-    (:func:`repro.dependability.bdd.order_from_topology`) and *reorder*
-    selects the dynamic-reordering mode on top of that seed order
-    (``None`` defers to the process-wide ``configure_compile`` default).
-    The compiled kernel is memoized by structure fingerprint — a campaign
-    re-evaluating the same UPSIM under hundreds of fault combinations
-    compiles once.
+    (:func:`repro.dependability.bdd.order_from_topology`); the
+    dynamic-reordering mode on top of that seed order is the process-wide
+    ``configure_compile`` default.  The compiled kernel is memoized by
+    structure fingerprint — a campaign re-evaluating the same UPSIM under
+    hundreds of fault combinations compiles once.
     """
     from repro.dependability.bdd import compile_structure, order_from_topology
 
     groups = service_path_set_groups(upsim, include_links=include_links)
     components = {c for group in groups for path in group for c in path}
     order = order_from_topology(Topology(upsim.model), components)
-    return compile_structure(groups, order=order, reorder=reorder)
+    return compile_structure(groups, order=order)

@@ -262,11 +262,6 @@ class ChurnPolicy:
     ``delta=False`` turns the evaluator into its own full-recompile
     oracle: fresh topology compilation, uncached enumeration and a fresh
     BDD per event — the equivalence baseline for tests and benchmarks.
-    ``dimensions`` names extra registered user-perceived dimensions
-    (:mod:`repro.dimensions`) to evaluate over each epoch's connected
-    pairs; their service-level values land in
-    :attr:`EpochSnapshot.dimensions` (empty tuple = availability only,
-    no extra work).
     """
 
     deadline: Optional[float] = None
@@ -274,7 +269,6 @@ class ChurnPolicy:
     backoff: float = 0.05
     coalesce_window: int = 8
     delta: bool = True
-    dimensions: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -290,10 +284,6 @@ class EpochSnapshot:
     disconnected: Tuple[Tuple[str, str], ...]
     applied_events: int
     created_at: float
-    #: Extra user-perceived dimension values (name → service value) for
-    #: the epoch's connected pairs, per :attr:`ChurnPolicy.dimensions`;
-    #: empty when no extra dimensions were requested or no pair connects.
-    dimensions: Mapping[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -370,7 +360,6 @@ class ChurnReport:
                 "disconnected": [
                     list(pair) for pair in final.snapshot.disconnected
                 ],
-                "dimensions": dict(final.snapshot.dimensions),
             },
         }
 
@@ -423,17 +412,13 @@ class _Computed:
         "availability",
         "pair_availability",
         "disconnected",
-        "dimensions",
     )
 
-    def __init__(
-        self, path_sets, availability, pair_availability, disconnected, dimensions
-    ):
+    def __init__(self, path_sets, availability, pair_availability, disconnected):
         self.path_sets = path_sets
         self.availability = availability
         self.pair_availability = pair_availability
         self.disconnected = disconnected
-        self.dimensions = dimensions
 
 
 class LiveEvaluator:
@@ -630,7 +615,7 @@ class LiveEvaluator:
                 )
             else:
                 path_sets[pair] = _enumerate(
-                    compiled, requester, provider, None, None
+                    compiled, requester, provider, memo=False
                 )
         # distinct unordered pairs, as in the pipeline (repeated pairs
         # describe the same connectivity event — count once)
@@ -676,30 +661,7 @@ class LiveEvaluator:
         full_pair = {
             pair: pair_availability[tuple(sorted(pair))] for pair in path_sets
         }
-        dimension_values: Dict[str, float] = {}
-        if self.policy.dimensions and groups:
-            # deferred import: repro.dimensions pulls in the analysis
-            # layer, closing a cycle through repro.core.__init__
-            from repro.dimensions import evaluate_dimensions
-
-            members = {c for group in groups for path in group for c in path}
-            report = evaluate_dimensions(
-                groups,
-                list(self.policy.dimensions),
-                annotations={
-                    "availability": {
-                        c: availabilities.get(c, 0.0) for c in members
-                    }
-                },
-            )
-            dimension_values = {value.name: value.value for value in report}
-        return _Computed(
-            path_sets,
-            system,
-            full_pair,
-            tuple(sorted(disconnected)),
-            dimension_values,
-        )
+        return _Computed(path_sets, system, full_pair, tuple(sorted(disconnected)))
 
     def _adopt(self, compiled: CompiledTopology, computed: _Computed) -> None:
         with self._lock:
@@ -713,7 +675,6 @@ class LiveEvaluator:
                 disconnected=computed.disconnected,
                 applied_events=self._applied,
                 created_at=time.monotonic(),
-                dimensions=computed.dimensions,
             )
         _M_EPOCHS.inc()
 

@@ -27,7 +27,9 @@ module makes repeated discovery 10-100x cheaper on realistic topologies
   requester, provider, max_depth, max_paths)``.  Dynamicity scenarios
   (user mobility, migration, what-if sweeps) that revisit pairs hit the
   cache; any topology mutation changes the fingerprint, which invalidates
-  every memoized result for the old topology.
+  every memoized result for the old topology.  Below it, full
+  enumerations splice per-block path lists from a content-addressed
+  block memo that survives mutations of other blocks.
 * :func:`discover_many` — batch discovery for independent mapping pairs
   with optional thread fan-out (``jobs=``); the serial default and the
   keyed result dict preserve deterministic ordering of stored results.
@@ -352,54 +354,6 @@ class CompiledTopology:
         assert self._is_cut is not None
         return [self.names[i] for i in range(self.n) if self._is_cut[i]]
 
-    def relevant_mask(self, s: int, t: int) -> Optional[bytearray]:
-        """Mask of vertices that can lie on some simple s-t path.
-
-        Returns ``None`` when no s-t path exists at all (different
-        connected components), which lets callers skip the DFS entirely.
-        """
-        self.ensure_structure()
-        assert (
-            self._blocks is not None
-            and self._vertex_blocks is not None
-            and self._is_cut is not None
-            and self._comp is not None
-            and self._tree_adj is not None
-        )
-        if s == t:
-            mask = bytearray(self.n)
-            mask[s] = 1
-            return mask
-        if self._comp[s] != self._comp[t]:
-            return None
-        n_blocks = len(self._blocks)
-
-        def tree_node(v: int) -> Optional[int]:
-            if self._is_cut[v]:
-                return n_blocks + v
-            vb = self._vertex_blocks[v]
-            return vb[0] if vb else None
-
-        s_node = tree_node(s)
-        t_node = tree_node(t)
-        if s_node is None or t_node is None:
-            return None  # an edgeless vertex reaches nothing but itself
-        mask = bytearray(self.n)
-        if s_node == t_node:
-            for w in self._blocks[s_node]:
-                mask[w] = 1
-            return mask
-        path = self._tree_path(s_node, t_node)
-        if path is None:
-            return None  # unreachable within the component (defensive)
-        for node in path:
-            if node < n_blocks:
-                for w in self._blocks[node]:
-                    mask[w] = 1
-        mask[s] = 1
-        mask[t] = 1
-        return mask
-
     def _tree_path(self, s_node: int, t_node: int) -> Optional[List[int]]:
         """Ordered node sequence from *s_node* to *t_node* on the
         block-cut tree (BFS parent-tracking; the path is unique)."""
@@ -587,9 +541,8 @@ class CompiledTopology:
         t: int,
         *,
         max_depth: Optional[int] = None,
-        eager: bool = False,
     ) -> Iterator[Tuple[str, ...]]:
-        """All simple s-t paths as name tuples, seed DFS order.
+        """All simple s-t paths as name tuples, seed DFS order, lazily.
 
         Three structural reductions compose here, none of which changes
         the emitted sequence relative to the seed DFS:
@@ -602,11 +555,10 @@ class CompiledTopology:
            reach the segment exit;
         3. chain condensation only removes forced intermediate steps.
 
-        With ``eager=True`` the per-block path lists are materialized up
-        front and the product runs at C speed (``itertools.product``) —
-        right for consumers that will exhaust the iterator anyway.  The
-        default stays fully lazy: pulling one path from an
-        astronomically large space must remain cheap.
+        This is the route for consumers that may stop early
+        (``max_paths``, :func:`iterate`): pulling one path from an
+        astronomically large space stays cheap.  Full enumerations go
+        through :func:`_enumerate`, which splices memoized block lists.
         """
         names = self.names
         if s == t:
@@ -634,24 +586,6 @@ class CompiledTopology:
         if cap < 1:
             return
         bounded = limit < self.n
-        if eager:
-            per_segment: List[List[Tuple[str, ...]]] = []
-            for entry, exit_, block in segments:
-                if len(block) == 2:  # a bridge: exactly one path, one link
-                    per_segment.append([(names[entry], names[exit_])])
-                    continue
-                seg_paths = list(self._iter_block(entry, exit_, block, cap))
-                if not seg_paths:
-                    return
-                per_segment.append(seg_paths)
-            for combo in product(*per_segment):
-                if bounded and sum(map(len, combo)) - k > limit:
-                    continue
-                path = combo[0]
-                for piece in combo[1:]:
-                    path = path + piece[1:]
-                yield path
-            return
         sources: List[Iterable[Tuple[str, ...]]] = []
         for entry, exit_, block in segments:
             if len(block) == 2:  # a bridge: exactly one path, one link
@@ -901,7 +835,7 @@ _PATHS = _store.LRU(maxsize=1024, max_weight=2_000_000)
 #: Unlike the PathSet cache this key is *fingerprint-independent*: a
 #: topology mutation invalidates only the blocks it touches (their
 #: digests change), so churned models reuse every untouched block's
-#: enumeration — the delta-aware fast path of :func:`discover_delta`.
+#: enumeration — in :func:`discover` and :func:`discover_delta` alike.
 _BLOCK_PATHS = _store.LRU(maxsize=4096, max_weight=2_000_000)
 
 _STATS_LOCK = threading.Lock()
@@ -1073,42 +1007,103 @@ def compile_topology(topology: Topology) -> CompiledTopology:
 # ---------------------------------------------------------------------------
 
 
-def _names_iter(
+def _segment_paths(
     compiled: CompiledTopology,
-    requester: str,
-    provider: str,
-    max_depth: Optional[int],
-    eager: bool = False,
-) -> Iterator[Path]:
-    s = compiled.node_id(requester)
-    t = compiled.node_id(provider)
-    return compiled.iter_names(s, t, max_depth=max_depth, eager=eager)
+    entry: int,
+    exit_: int,
+    block: Sequence[int],
+    cap: int,
+    memo: bool,
+) -> Sequence[Path]:
+    """One segment's path list, at most *cap* links per path.
+
+    A bridge (two-vertex block) contributes exactly one path.  With
+    *memo* the full block enumeration (*cap* is then no bound) is kept in
+    the block LRU under ``(block_digest, entry name, exit name)``: the
+    digest covers the induced subgraph *and* its traversal order, so a
+    hit replays exactly the sequence :meth:`CompiledTopology._iter_block`
+    would emit — on a churned topology only the blocks an event actually
+    touched miss.
+    """
+    names = compiled.names
+    if len(block) == 2:
+        return ((names[entry], names[exit_]),)
+    if not memo:
+        return list(compiled._iter_block(entry, exit_, block, cap))
+    key = (compiled.block_digest(block), names[entry], names[exit_])
+    cached = _BLOCK_PATHS.get(key)
+    if cached is not None:
+        return cached
+    # a simple path inside the block visits each vertex at most once, so
+    # len(block) links always over-covers the longest possible path
+    paths = tuple(compiled._iter_block(entry, exit_, block, len(block)))
+    with _STATS_LOCK:
+        _STATS["block_enumerations"] += 1
+    _M_BLOCK_ENUMERATIONS.inc()
+    _BLOCK_PATHS.put(key, paths, weight=sum(map(len, paths)) + 1)
+    return paths
 
 
 def _enumerate(
     compiled: CompiledTopology,
     requester: str,
     provider: str,
-    max_depth: Optional[int],
-    max_paths: Optional[int],
+    max_depth: Optional[int] = None,
+    max_paths: Optional[int] = None,
+    *,
+    memo: bool = True,
 ) -> PathSet:
-    with _STATS_LOCK:
-        _STATS["enumerations"] += 1
-    _M_ENUMERATIONS.inc()
+    """The one enumeration behind :func:`discover`, the delta path and the
+    churn oracle.
+
+    A ``max_paths`` query stays lazy (:meth:`CompiledTopology.iter_names`)
+    and stops one path past the bound.  A full one splices the product of
+    per-segment path lists along the block-cut tree, in seed DFS order.
+    Segment lists come from the block memo unless *memo* is off or a
+    ``max_depth`` bound caps them (memo entries are full enumerations).
+    """
     result = PathSet(requester, provider)
-    # a truncated query must stay lazy; a full one benefits from the
-    # eager C-speed product assembly
-    iterator = _names_iter(
-        compiled, requester, provider, max_depth, eager=max_paths is None
-    )
-    for path in iterator:
+    s = compiled.node_id(requester)
+    t = compiled.node_id(provider)
+    if max_paths is not None:
+        iterator = compiled.iter_names(s, t, max_depth=max_depth)
+        for path in iterator:
+            result.paths.append(path)
+            if len(result.paths) >= max_paths:
+                # peek once so the flag truthfully reports whether paths
+                # were cut
+                if next(iterator, None) is not None:
+                    result.truncated = True
+                break
+        return result
+    if s == t:
+        result.paths.append((compiled.names[s],))
+        return result
+    limit = compiled.n if max_depth is None else max_depth
+    segments = compiled.segments(s, t) if limit >= 1 else None
+    if segments is None:
+        return result
+    k = len(segments)
+    # each of the other segments contributes at least one link, which
+    # bounds any single segment's useful depth
+    cap = limit - (k - 1)
+    if cap < 1:
+        return result
+    memo = memo and max_depth is None
+    per_segment = []
+    for entry, exit_, block in segments:
+        paths = _segment_paths(compiled, entry, exit_, block, cap, memo)
+        if not paths:
+            return result
+        per_segment.append(paths)
+    bounded = max_depth is not None
+    for combo in product(*per_segment):
+        if bounded and sum(map(len, combo)) - k > limit:
+            continue
+        path = combo[0]
+        for piece in combo[1:]:
+            path = path + piece[1:]
         result.paths.append(path)
-        if max_paths is not None and len(result.paths) >= max_paths:
-            # peek once so the flag truthfully reports whether paths were cut
-            if next(iterator, None) is not None:
-                result.truncated = True
-            break
-    _M_PATHS_DISCOVERED.inc(len(result.paths))
     return result
 
 
@@ -1149,32 +1144,37 @@ def discover(
     artifact store is active (``REPRO_STORE``/``--store``), the on-disk
     enumeration keyed by the same (fingerprint, endpoints, bounds)
     tuple — a fresh process re-running a known campaign performs zero
-    enumerations.
+    enumerations.  A miss assembles the result from the block memo it
+    shares with :func:`discover_delta`.  ``use_cache=False`` bypasses
+    every cache, the block memo included.
     """
     with _trace.span(
         "engine.discover", requester=requester, provider=provider
     ) as span:
         _check_endpoints(topology, requester, provider)
         compiled = compile_topology(topology)
-        if not use_cache:
-            result = _enumerate(
-                compiled, requester, provider, max_depth, max_paths
-            )
-            span.set(cached=False, paths=len(result.paths))
-            return result
-        span.set(cached=True)
 
         def enumerate_() -> Tuple[Tuple[Path, ...], bool]:
             span.set(cached=False)
+            with _STATS_LOCK:
+                _STATS["enumerations"] += 1
+            _M_ENUMERATIONS.inc()
             result = _enumerate(
-                compiled, requester, provider, max_depth, max_paths
+                compiled, requester, provider, max_depth, max_paths,
+                memo=use_cache,
             )
+            _M_PATHS_DISCOVERED.inc(len(result.paths))
             return tuple(result.paths), result.truncated
 
-        paths, truncated = _PATH_TIER.fetch(
-            (compiled.fingerprint, requester, provider, max_depth, max_paths),
-            enumerate_,
-        )
+        if use_cache:
+            span.set(cached=True)
+            paths, truncated = _PATH_TIER.fetch(
+                (compiled.fingerprint, requester, provider, max_depth,
+                 max_paths),
+                enumerate_,
+            )
+        else:
+            paths, truncated = enumerate_()
         span.set(paths=len(paths))
         return PathSet(requester, provider, list(paths), truncated=truncated)
 
@@ -1216,7 +1216,11 @@ def iterate(
     compiled = compile_topology(topology)
     with _STATS_LOCK:
         _STATS["enumerations"] += 1
-    return _names_iter(compiled, requester, provider, max_depth)
+    return compiled.iter_names(
+        compiled.node_id(requester),
+        compiled.node_id(provider),
+        max_depth=max_depth,
+    )
 
 
 def discover_many(
@@ -1295,35 +1299,6 @@ def discover_many(
 # ---------------------------------------------------------------------------
 
 
-def _segment_paths(
-    compiled: CompiledTopology, entry: int, exit_: int, block: Sequence[int]
-) -> Tuple[Tuple[str, ...], ...]:
-    """One segment's full path list, memoized by block content digest.
-
-    A bridge (two-vertex block) contributes exactly one path and skips
-    the cache.  Anything larger is keyed on
-    ``(block_digest, entry name, exit name)``: the digest covers the
-    induced subgraph *and* its traversal order, so a hit replays exactly
-    the sequence :meth:`CompiledTopology._iter_block` would emit — on a
-    churned topology only the blocks an event actually touched miss.
-    """
-    names = compiled.names
-    if len(block) == 2:
-        return ((names[entry], names[exit_]),)
-    key = (compiled.block_digest(block), names[entry], names[exit_])
-    cached = _BLOCK_PATHS.get(key)
-    if cached is not None:
-        return cached
-    # a simple path inside the block visits each vertex at most once, so
-    # len(block) links always over-covers the longest possible path
-    paths = tuple(compiled._iter_block(entry, exit_, block, len(block)))
-    with _STATS_LOCK:
-        _STATS["block_enumerations"] += 1
-    _M_BLOCK_ENUMERATIONS.inc()
-    _BLOCK_PATHS.put(key, paths, weight=sum(map(len, paths)) + 1)
-    return paths
-
-
 def discover_delta(
     topology: Topology,
     requester: str,
@@ -1333,18 +1308,18 @@ def discover_delta(
 ) -> PathSet:
     """Delta-aware all-paths discovery: splice cached block enumerations.
 
-    Equivalent to :func:`discover` with no depth/path bounds — same paths
-    in the same order — but factorized through the block-cut tree with a
-    *content-addressed* per-block cache: when the topology mutates, only
-    the biconnected blocks whose induced subgraph changed are
-    re-enumerated, and every untouched block's path list is spliced back
-    into the result.  This is the recompute primitive of the live-churn
-    engine (:mod:`repro.core.churn`): a link flap on a peripheral block
-    re-enumerates that block alone, not the whole pair.
+    The same assembly as an unbounded :func:`discover` — same paths in the
+    same order, from the same *content-addressed* per-block memo: when the
+    topology mutates, only the biconnected blocks whose induced subgraph
+    changed are re-enumerated, and every untouched block's path list is
+    spliced back into the result.  This is the recompute primitive of the
+    live-churn engine (:mod:`repro.core.churn`): a link flap on a
+    peripheral block re-enumerates that block alone, not the whole pair.
 
-    The assembled PathSet is also registered in the fingerprint-keyed
-    PathSet LRU, so subsequent plain :func:`discover` calls (pipeline
-    Step 7, analysis) hit it without re-assembly.
+    The result is registered in the in-process PathSet LRU (never written
+    through to the artifact store), so subsequent plain :func:`discover`
+    calls (pipeline Step 7, analysis) hit it without re-assembly.
+    ``use_cache=False`` skips only that PathSet tier, not the block memo.
     """
     _check_endpoints(topology, requester, provider)
     return discover_delta_compiled(
@@ -1371,32 +1346,12 @@ def discover_delta_compiled(
         "engine.discover_delta", requester=requester, provider=provider
     ) as span:
         key = (compiled.fingerprint, requester, provider, None, None)
-        if use_cache:
-            hit = _PATHS.get(key)
-            if hit is not None:
-                paths, truncated = hit
-                span.set(cached=True, paths=len(paths))
-                return PathSet(
-                    requester, provider, list(paths), truncated=truncated
-                )
-        s = compiled.node_id(requester)
-        t = compiled.node_id(provider)
-        result = PathSet(requester, provider)
-        if s == t:
-            result.paths.append((compiled.names[s],))
-        else:
-            segments = compiled.segments(s, t)
-            if segments is not None:
-                per_segment = [
-                    _segment_paths(compiled, entry, exit_, block)
-                    for entry, exit_, block in segments
-                ]
-                if all(per_segment):
-                    for combo in product(*per_segment):
-                        path = combo[0]
-                        for piece in combo[1:]:
-                            path = path + piece[1:]
-                        result.paths.append(path)
+        hit = _PATHS.get(key) if use_cache else None
+        if hit is not None:
+            paths, truncated = hit
+            span.set(cached=True, paths=len(paths))
+            return PathSet(requester, provider, list(paths), truncated=truncated)
+        result = _enumerate(compiled, requester, provider)
         with _STATS_LOCK:
             _STATS["delta_assemblies"] += 1
         _M_DELTA_ASSEMBLIES.inc()

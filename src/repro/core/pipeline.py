@@ -322,8 +322,6 @@ class MethodologyPipeline:
         shards: Optional[int] = None,
         resilience: Optional["ResiliencePolicy"] = None,
         kernel: Optional[str] = None,
-        reorder: Optional[str] = None,
-        compile_jobs: Optional[int] = None,
     ) -> PipelineReport:
         """Execute the automated Steps 5–8, skipping up-to-date stages.
 
@@ -346,13 +344,9 @@ class MethodologyPipeline:
         with ``"bdd"`` the service structure is compiled into the
         memoized BDD kernel as part of Step 8, so the first
         :meth:`analyze` (and every campaign evaluation of this UPSIM)
-        starts from a warm cache.
-
-        ``reorder`` selects the BDD dynamic variable-reordering mode for
-        the Step-8 compile ("auto"/"sift"/"none"; ``None`` defers to
-        :func:`repro.dependability.bdd.configure_compile`), and
-        ``compile_jobs`` > 1 fans the Step-9 population kernel compiles
-        out over the persistent compile pool.
+        starts from a warm cache.  Compile options (reorder mode,
+        compile jobs) come from
+        :func:`repro.dependability.bdd.configure_compile`.
         """
         self._require_inputs()
         assert self._infrastructure and self._service and self._mapping
@@ -380,9 +374,9 @@ class MethodologyPipeline:
         with _trace.span("pipeline.run", mode=mode, jobs=jobs or 1) as run_span:
             if resilience is None:
                 self._run_stages(
-                    report, max_depth, max_paths, jobs, None, kernel, reorder
+                    report, max_depth, max_paths, jobs, None, kernel
                 )
-                self._run_population_stage(report, shards, jobs, compile_jobs)
+                self._run_population_stage(report, shards, jobs)
                 report.upsim = self.upsim
                 run_span.set(executed=len(report.executed_stages()))
                 return report
@@ -397,7 +391,6 @@ class MethodologyPipeline:
                     jobs,
                     resilience,
                     kernel,
-                    reorder,
                 )
             except ReproError as exc:
                 failed = (
@@ -426,7 +419,7 @@ class MethodologyPipeline:
                 # Step 9 only runs on a healthy Step 5-8 chain: a partial
                 # UPSIM means some positions are unreachable, and the
                 # population numbers would silently misrepresent them
-                self._run_population_stage(report, shards, jobs, compile_jobs)
+                self._run_population_stage(report, shards, jobs)
             report.upsim = self.upsim
             run_span.set(
                 executed=len(report.executed_stages()), partial=report.partial
@@ -441,7 +434,6 @@ class MethodologyPipeline:
         jobs: Optional[int],
         resilience: Optional["ResiliencePolicy"],
         kernel: Optional[str] = None,
-        reorder: Optional[str] = None,
     ) -> None:
         assert self._infrastructure and self._service and self._mapping
 
@@ -553,27 +545,20 @@ class MethodologyPipeline:
                     raise
                 self._mark_upsim_entities()
                 if kernel is not None:
-                    self._warm_kernel(
-                        kernel,
-                        resilient=resilience is not None,
-                        reorder=reorder,
-                    )
+                    self._warm_kernel(kernel, resilient=resilience is not None)
                 self._dirty.discard("generate_upsim")
         else:
             _reused_stage(report, "generate_upsim")
             if kernel is not None and self.upsim is not None:
                 # a reused Step 8 still warms the kernel cache (memoized —
                 # free when an earlier run already compiled the structure)
-                self._warm_kernel(
-                    kernel, resilient=resilience is not None, reorder=reorder
-                )
+                self._warm_kernel(kernel, resilient=resilience is not None)
 
     def _run_population_stage(
         self,
         report: PipelineReport,
         shards: Optional[int],
         jobs: Optional[int],
-        compile_jobs: Optional[int] = None,
     ) -> None:
         """Optional Step 9: population-scale evaluation (see
         :meth:`set_population`).  A no-op when no population is attached;
@@ -608,7 +593,6 @@ class MethodologyPipeline:
                 self._population,
                 shards=shards,
                 jobs=jobs,
-                compile_jobs=compile_jobs,
             )
             self._population_shards = shards
             self._dirty.discard(POPULATION_STAGE)
@@ -619,13 +603,7 @@ class MethodologyPipeline:
                 )
         report.population = self._population_report
 
-    def _warm_kernel(
-        self,
-        kernel: str,
-        *,
-        resilient: bool,
-        reorder: Optional[str] = None,
-    ) -> None:
+    def _warm_kernel(self, kernel: str, *, resilient: bool) -> None:
         """Pre-compile the availability kernel for the generated UPSIM.
 
         Only ``"bdd"`` has structure to compile; the reference kernels
@@ -638,9 +616,7 @@ class MethodologyPipeline:
         from repro.analysis.transformations import service_availability_kernel
 
         try:
-            service_availability_kernel(
-                self.upsim, include_links=True, reorder=reorder
-            )
+            service_availability_kernel(self.upsim, include_links=True)
         except ReproError:
             if not resilient:
                 raise

@@ -1449,6 +1449,18 @@ def configure_compile(
     return dict(_COMPILE_DEFAULTS)
 
 
+def _checked_groups(
+    path_set_groups: Sequence[Sequence[FrozenSet[str]]],
+) -> List[List[FrozenSet[str]]]:
+    """The groups as lists, rejecting no groups and an empty group."""
+    groups = [list(group) for group in path_set_groups]
+    if not groups:
+        raise AnalysisError("system_availability requires at least one group")
+    if not all(groups):
+        raise AnalysisError("a pair with no path sets is never connected")
+    return groups
+
+
 def _prepare_structure(
     path_set_groups: Sequence[Sequence[FrozenSet[str]]],
     order: Optional[Sequence[str]],
@@ -1460,12 +1472,7 @@ def _prepare_structure(
     interchangeable (sifting preserves the evaluated function exactly,
     and auto only fires on structures neither mode pins), so they share
     the untagged key and the warm-start tiers stay mode-agnostic."""
-    groups = [list(group) for group in path_set_groups]
-    if not groups:
-        raise AnalysisError("system_availability requires at least one group")
-    for group in groups:
-        if not group:
-            raise AnalysisError("a pair with no path sets is never connected")
+    groups = _checked_groups(path_set_groups)
     components = {c for group in groups for path in group for c in path}
     if not components:
         raise AnalysisError("system_availability requires at least one component")
@@ -1510,18 +1517,14 @@ def _build_group_roots(
     return bdd.reduce_many(_OP_OR, [roots[a:b] for a, b in slices])
 
 
-def _sift_compiled(
-    bdd: BDD,
-    system: int,
-    group_roots: Sequence[int],
-    variables: Tuple[str, ...],
-) -> Tuple[BDD, int, List[int], Tuple[str, ...]]:
-    """Run a sifting pass over a freshly compiled manager and translate
-    the roots and variable naming into the reordered manager."""
+def _sift(
+    bdd: BDD, roots: Sequence[int], variables: Tuple[str, ...]
+) -> Tuple[BDD, List[int], Tuple[str, ...]]:
+    """Run a sifting pass over *bdd* keeping *roots* alive; returns the
+    reordered manager, *roots* remapped into it, and the variable naming
+    by new level."""
     with _trace.span("bdd.reorder", variables=len(variables)) as span:
-        new_bdd, mapping, perm, stats = _bddreorder.sift(
-            bdd, [system, *group_roots]
-        )
+        new_bdd, mapping, perm, stats = _bddreorder.sift(bdd, list(roots))
         span.set(
             swaps=stats["swaps"],
             nodes_before=stats["live_before"],
@@ -1535,8 +1538,7 @@ def _sift_compiled(
     new_bdd.cache_hits = bdd.cache_hits
     return (
         new_bdd,
-        mapping[system],
-        [mapping[root] for root in group_roots],
+        [mapping[root] for root in roots],
         tuple(variables[perm[level]] for level in range(len(variables))),
     )
 
@@ -1591,8 +1593,8 @@ def compile_structure(
                 and len(bdd) - 2 >= _AUTO_MIN_NODES
                 and len(bdd) - 2 >= _AUTO_GROWTH * max(1, incidences)
             ):
-                bdd, system, group_roots, variables = _sift_compiled(
-                    bdd, system, group_roots, variables
+                bdd, (system, *group_roots), variables = _sift(
+                    bdd, [system, *group_roots], variables
                 )
             kernel = AvailabilityKernel(
                 bdd, system, group_roots, variables, cache_key
@@ -1851,41 +1853,6 @@ class IncrementalAvailabilityKernel:
         self.stats["rebuilds"] += 1
         _M_REBUILDS.inc()
 
-    def _sift_epoch(
-        self, system: int, group_roots: List[int]
-    ) -> Tuple[int, List[int]]:
-        """Sift the freshly rebuilt manager, remapping the digest cache,
-        the current roots, and the established variable order into the
-        reordered manager (subsequent epochs grow it unchanged)."""
-        bdd = self._bdd
-        cached_roots = list(self._group_roots.values())
-        with _trace.span(
-            "bdd.reorder", variables=len(self._order)
-        ) as span:
-            new_bdd, mapping, perm, stats = _bddreorder.sift(
-                bdd, [system, *group_roots, *cached_roots]
-            )
-            span.set(
-                swaps=stats["swaps"],
-                nodes_before=stats["live_before"],
-                nodes_after=stats["live_after"],
-            )
-        _M_REORDER_PASSES.inc()
-        _M_REORDER_SWAPS.inc(stats["swaps"])
-        saved = stats["live_before"] - stats["live_after"]
-        if saved > 0:
-            _M_REORDER_NODES_SAVED.inc(saved)
-        new_bdd.cache_hits = bdd.cache_hits
-        self._bdd = new_bdd
-        self._order = tuple(
-            self._order[perm[level]] for level in range(len(self._order))
-        )
-        self._group_roots = {
-            digest: mapping[root]
-            for digest, root in self._group_roots.items()
-        }
-        return mapping[system], [mapping[root] for root in group_roots]
-
     def recompile(
         self,
         path_set_groups: Sequence[Sequence[FrozenSet[str]]],
@@ -1900,16 +1867,7 @@ class IncrementalAvailabilityKernel:
         every cached root — survives topology mutations that would
         reshuffle CSR ids.
         """
-        groups = [list(group) for group in path_set_groups]
-        if not groups:
-            raise AnalysisError(
-                "system_availability requires at least one group"
-            )
-        for group in groups:
-            if not group:
-                raise AnalysisError(
-                    "a pair with no path sets is never connected"
-                )
+        groups = _checked_groups(path_set_groups)
         canonical = _canonical_groups(groups)
         components = frozenset(
             c for group in canonical for path in group for c in path
@@ -1951,9 +1909,19 @@ class IncrementalAvailabilityKernel:
                 _OP_AND, [np.array(unique_roots, dtype=np.int64)]
             )[0]
             if self._sift_pending and len(bdd) > 2:
+                # sift at the epoch boundary, remapping the digest cache,
+                # the current roots and the established variable order
+                # into the reordered manager (later epochs grow it)
                 self._sift_pending = False
-                system, group_roots = self._sift_epoch(system, group_roots)
-                bdd = self._bdd
+                n = len(group_roots)
+                bdd, roots, self._order = _sift(
+                    bdd,
+                    [system, *group_roots, *self._group_roots.values()],
+                    self._order,
+                )
+                self._bdd = bdd
+                system, group_roots = roots[0], roots[1 : n + 1]
+                self._group_roots = dict(zip(self._group_roots, roots[n + 1 :]))
             kernel = AvailabilityKernel(
                 bdd,
                 system,

@@ -43,7 +43,6 @@ from repro.resilience.faults import Fault, FaultPlan
 from repro.resilience.runner import (
     DiscoveryOutcome,
     PairDiagnostic,
-    ResiliencePolicy,
     discover_many_resilient,
 )
 from repro.services.composite import CompositeService
@@ -224,9 +223,6 @@ def run_campaign(
     k: int = 1,
     ticks: int = 4,
     include_links: bool = False,
-    policy: Optional[ResiliencePolicy] = None,
-    max_depth: Optional[int] = None,
-    max_paths: Optional[int] = None,
     kernel: str = DEFAULT_KERNEL,
 ) -> CampaignReport:
     """Sweep all 1..k-fault combinations of the candidate faults.
@@ -259,13 +255,9 @@ def run_campaign(
         if isinstance(infrastructure, Topology)
         else Topology(infrastructure)
     )
-    policy = policy or ResiliencePolicy()
-
     # nominal reference: strict generation — a campaign over a service
     # that does not work nominally has no baseline to degrade from
-    upsim = generate_upsim(
-        topology, service, mapping, max_depth=max_depth, max_paths=max_paths
-    )
+    upsim = generate_upsim(topology, service, mapping)
     pairs = tuple(
         (pair.requester, pair.provider)
         for pair in mapping.pairs_for_service(service)
@@ -297,13 +289,7 @@ def run_campaign(
 
     def _evaluate_fresh(resolved: FaultPlan) -> _Evaluation:
         overlay = resolved.apply(topology)
-        outcome = discover_many_resilient(
-            overlay,
-            pairs,
-            max_depth=max_depth,
-            max_paths=max_paths,
-            policy=policy,
-        )
+        outcome = discover_many_resilient(overlay, pairs)
         table = _degraded_table(upsim, resolved, nominal_table)
         structural = [
             name for name in resolved.component_names() if name in table

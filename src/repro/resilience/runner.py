@@ -237,7 +237,6 @@ def discover_many_resilient(
     max_depth: Optional[int] = None,
     max_paths: Optional[int] = None,
     policy: Optional[ResiliencePolicy] = None,
-    use_cache: bool = True,
 ) -> DiscoveryOutcome:
     """Discover paths for many pairs, degrading instead of raising.
 
@@ -297,7 +296,6 @@ def discover_many_resilient(
                     provider,
                     max_depth=max_depth,
                     max_paths=max_paths,
-                    use_cache=use_cache,
                 ),
                 policy.pair_timeout,
             )

@@ -229,16 +229,15 @@ def _kernels_for_attachments(
     *,
     include_links: bool,
     jobs: Optional[int],
-    compile_jobs: Optional[int] = None,
 ) -> Dict[str, AvailabilityKernel]:
     """One compiled kernel per attachment (the structure-dedup level).
 
     Path discovery is batched through :func:`discover_many` so duplicate
     pairs — the service legs that do not involve the user, identical for
     every attachment — enumerate once; kernels memoize by structure
-    fingerprint in the shared LRU.  *compile_jobs* > 1 fans cold compiles
-    out over :func:`compile_many` worker processes (cached structures
-    never reach them).
+    fingerprint in the shared LRU.  Cold compiles go through
+    :func:`compile_many`, which fans out as ``configure_compile`` says
+    (cached structures never reach its workers).
     """
     per_attachment_pairs: Dict[str, List[Tuple[str, str]]] = {}
     all_pairs: List[Tuple[str, str]] = []
@@ -264,7 +263,7 @@ def _kernels_for_attachments(
         components = {c for group in groups for path in group for c in path}
         structures.append(groups)
         orders.append(order_from_topology(topology, components))
-    compiled = compile_many(structures, orders=orders, jobs=compile_jobs)
+    compiled = compile_many(structures, orders=orders)
     return dict(zip(attachments, compiled))
 
 
@@ -323,7 +322,6 @@ def evaluate_population(
     dimension: str = "availability",
     shards: Optional[int] = None,
     jobs: Optional[int] = None,
-    compile_jobs: Optional[int] = None,
     batch_rows: int = 65536,
     top: int = 5,
 ) -> PopulationReport:
@@ -366,7 +364,6 @@ def evaluate_population(
                 attachments,
                 include_links=include_links,
                 jobs=jobs,
-                compile_jobs=compile_jobs,
             )
 
         # Row dedup per key: one perturbed sweep over the distinct

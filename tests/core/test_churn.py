@@ -124,6 +124,28 @@ class TestDeltaOracleEquivalence:
             oracle.run(iter([event]))
             _assert_equivalent(delta, oracle)
 
+    @pytest.mark.reorder
+    def test_sifted_incremental_kernel_every_epoch(self):
+        """``reorder="sift"`` sifts at each epoch boundary and remaps the
+        digest cache; a garbage rebuild mid-stream sifts again, and every
+        epoch still matches the unsifted full-recompile oracle."""
+
+        def model():
+            return campus(
+                dist_switches=2, edges_per_dist=2, clients_per_edge=2
+            ).object_model
+
+        pairs = [("client", "server"), ("client2", "server")]
+        live = LiveEvaluator(model(), pairs, reorder="sift")
+        live._kernel._GC_SLACK = 0  # make the dead-node bound immediate
+        oracle = LiveEvaluator(model(), pairs, policy=ChurnPolicy(delta=False))
+        events = list(ChurnStream(model(), pairs, seed=5).events(60))
+        for event in events:
+            live.run(iter([event]))
+            oracle.run(iter([event]))
+            _assert_equivalent(live, oracle)
+        assert live._kernel.stats["rebuilds"] > 1  # first build + a rebuild
+
     def test_mobility_events_equivalent(self):
         delta, oracle = _evaluators("campus")
         events = [

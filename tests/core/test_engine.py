@@ -139,22 +139,6 @@ class TestCompiledTopology:
         second = compile_topology(usi_topo)
         assert first is second
 
-    def test_relevant_mask_is_exact(self):
-        """Masked-in vertices are precisely those on some simple path."""
-        topo = Topology(
-            campus(dist_switches=2, edges_per_dist=2, clients_per_edge=2)
-            .object_model
-        )
-        compiled = compile_topology(topo)
-        s = compiled.node_id("client")
-        t = compiled.node_id("server")
-        mask = compiled.relevant_mask(s, t)
-        on_some_path = set()
-        for path in discover_paths_networkx(topo, "client", "server"):
-            on_some_path.update(path)
-        masked = {compiled.names[i] for i in range(compiled.n) if mask[i]}
-        assert masked == on_some_path
-
     def test_segments_chain_multiplies_counts(self):
         """client->edge->dist->core-block->...: bridges factor out and the
         total count is the product of per-segment counts."""
@@ -388,6 +372,30 @@ class TestBlockCacheReuse:
             topo, "client", "server", use_cache=False
         )
         assert spliced.paths == reference.paths
+
+    def test_discover_fills_the_block_memo_delta_reads(self):
+        """discover and discover_delta assemble from one block memo: once
+        discover has run, a delta of the same pair enumerates no block."""
+        topo = Topology(self._two_block_topology())
+        full = engine.discover(topo, "client", "server")
+        path_cache_clear()
+        before = engine_stats()["block_enumerations"]
+        delta = engine.discover_delta(topo, "client", "server")
+        assert engine_stats()["block_enumerations"] == before
+        assert delta.paths == full.paths
+
+    def test_uncached_routes_leave_the_block_memo_alone(self):
+        """discover(use_cache=False) and the full-recompile churn oracle
+        touch no cache, so the oracle stays independent of what it checks."""
+        from repro.core.churn import ChurnPolicy, LiveEvaluator
+
+        model = self._two_block_topology()
+        before = engine.block_cache_info()
+        engine.discover(Topology(model), "client", "server", use_cache=False)
+        LiveEvaluator(
+            model, [("client", "server")], policy=ChurnPolicy(delta=False)
+        )
+        assert engine.block_cache_info() == before
 
     def test_block_cache_info_shape(self):
         info = engine.block_cache_info()
