@@ -42,6 +42,11 @@ Subpackages
     DOT / text / Mermaid renderers for all diagram kinds.
 """
 
+from time import perf_counter as _perf_counter
+
+# where ``upsim --trace``'s ``startup`` span begins (see repro.cli.main)
+_IMPORT_STARTED = _perf_counter()
+
 from repro.errors import (
     AnalysisError,
     ConstraintViolationError,

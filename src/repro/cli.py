@@ -100,8 +100,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from typing import List, Optional
 
+from repro import _IMPORT_STARTED
 from repro import store as _artifact_store
 from repro.analysis import analyze_upsim
 from repro.core.mapping import ServiceMapping
@@ -1049,13 +1051,28 @@ _COMMANDS = {
 }
 
 
+# the first main() call in a process owns the start-up interval
+_startup_from: Optional[float] = _IMPORT_STARTED
+
+
 def main(argv: Optional[List[str]] = None) -> int:
+    global _startup_from
+    entered = time.perf_counter()
+    startup_from, _startup_from = _startup_from, None
     parser = build_parser()
     args = parser.parse_args(argv)
     trace_path: Optional[str] = getattr(args, "trace", None)
     show_metrics: bool = getattr(args, "metrics", False)
     store_dir: Optional[str] = getattr(args, "store", None)
-    tracer = _trace.Tracer() if trace_path else _trace.NOOP_TRACER
+    tracer = _trace.NOOP_TRACER
+    if trace_path:
+        # a traced first call starts its clock at ``import repro`` and
+        # opens with a closed ``startup`` root covering import → main()
+        tracer = _trace.Tracer(origin=startup_from)
+        if startup_from is not None:
+            tracer.record(
+                "startup", startup_from, entered, modules=len(sys.modules)
+            )
     reorder_opt: Optional[str] = getattr(args, "reorder", None)
     compile_jobs_opt: Optional[int] = getattr(args, "compile_jobs", None)
     try:

@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from repro.core.pathdiscovery import PathSet, discover_paths
 from repro.errors import PathDiscoveryError
 from repro.network.topology import Topology
@@ -55,6 +53,8 @@ def node_connectivity(topology: Topology, requester: str, provider: str) -> int:
     By Menger's theorem this equals the minimum number of *intermediate*
     node failures that disconnect the pair.  0 means disconnected.
     """
+    import networkx as nx
+
     _check(topology, requester, provider)
     graph = topology.to_networkx()
     if not nx.has_path(graph, requester, provider):
@@ -71,6 +71,8 @@ def node_connectivity(topology: Topology, requester: str, provider: str) -> int:
 
 def edge_connectivity(topology: Topology, requester: str, provider: str) -> int:
     """Maximum number of edge-disjoint paths (minimum link cut)."""
+    import networkx as nx
+
     _check(topology, requester, provider)
     graph = topology.to_networkx()
     if not nx.has_path(graph, requester, provider):
@@ -111,8 +113,12 @@ class DiversityReport:
 
     @property
     def survives_any_single_node_failure(self) -> bool:
-        """True iff no intermediate node is shared by all paths."""
-        return self.node_disjoint_paths >= 2
+        """True iff no single intermediate-node failure disconnects the pair.
+
+        That holds with two internally node-disjoint paths (Menger) or
+        with a direct link, which no intermediate failure can cut.
+        """
+        return self.node_disjoint_paths >= 2 or self.shortest_hops == 1
 
     @property
     def redundancy_ratio(self) -> float:

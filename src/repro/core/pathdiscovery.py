@@ -35,8 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from repro.errors import PathDiscoveryError
 from repro.network.topology import Topology
 
@@ -305,6 +303,8 @@ def discover_paths_networkx(
     Produces the same path *set* as :func:`discover_paths` (order may
     differ); the tests assert set equality on every topology family.
     """
+    import networkx as nx
+
     _check_endpoints(topology, requester, provider)
     graph = topology.to_networkx()
     result = PathSet(requester, provider)

@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Dict, Hashable, List, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from repro.errors import AnalysisError
 
@@ -105,6 +104,8 @@ class CTMC:
 
     def transient(self, initial: Hashable, t: float) -> np.ndarray:
         """State distribution at time *t* starting from *initial*."""
+        from scipy.linalg import expm
+
         if t < 0:
             raise AnalysisError(f"time must be >= 0, got {t}")
         p0 = np.zeros(len(self.states))

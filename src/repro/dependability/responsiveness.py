@@ -30,7 +30,6 @@ from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from repro.errors import AnalysisError
 
@@ -67,6 +66,8 @@ def hypoexponential_cdf(rates: Sequence[float], deadline: float) -> float:
 
 @lru_cache(maxsize=4096)
 def _hypoexponential_cdf(rates: Tuple[float, ...], deadline: float) -> float:
+    from scipy.linalg import expm
+
     rates_arr = np.asarray(rates, dtype=np.float64)
     if rates_arr.size == 0:
         return 1.0

@@ -12,9 +12,9 @@ from __future__ import annotations
 import hashlib
 from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-import networkx as nx
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    import networkx as nx
+
     from repro.core.engine import CompiledTopology
 
 from repro.errors import TopologyError
@@ -170,6 +170,8 @@ class Topology:
         full inherited property dictionaries — convenient for third-party
         analysis, at the cost of materializing every property.
         """
+        import networkx as nx
+
         graph = nx.Graph(name=self.model.name)
         for instance in self.model.instances:
             if with_properties:

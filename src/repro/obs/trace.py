@@ -119,8 +119,10 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self):
-        self._t0 = time.perf_counter()
+    def __init__(self, *, origin: Optional[float] = None):
+        # span times are seconds since *origin*, a time.perf_counter()
+        # reading (default: now)
+        self._t0 = time.perf_counter() if origin is None else origin
         self._lock = threading.Lock()
         self._local = threading.local()
         self.roots: List[Span] = []
@@ -172,6 +174,21 @@ class Tracer:
         ``with`` statement binds.
         """
         return _SpanContext(self, Span(name, attrs))
+
+    def record(self, name: str, start: float, end: float, **attrs: Any) -> Span:
+        """Add an already-finished span under the current span.
+
+        *start* and *end* are :func:`time.perf_counter` readings, for work
+        that ran before the tracer existed (``upsim``'s ``startup`` span).
+        """
+        span_ = Span(name, attrs)
+        span_.start = start - self._t0
+        span_.end = end - self._t0
+        stack = self._stack()
+        with self._lock:
+            (stack[-1].children if stack else self.roots).append(span_)
+            self.span_count += 1
+        return span_
 
     def _start(self, span_: Span) -> None:
         span_.start = time.perf_counter() - self._t0

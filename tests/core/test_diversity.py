@@ -10,7 +10,15 @@ from repro.core.diversity import (
 )
 from repro.core.pathdiscovery import PathSet, discover_paths
 from repro.errors import PathDiscoveryError
-from repro.network.generators import balanced_tree, complete, ladder, ring
+from repro.network.generators import (
+    balanced_tree,
+    campus,
+    complete,
+    erdos_renyi,
+    ladder,
+    ring,
+)
+from repro.network.topology import Topology
 
 
 class TestConnectivity:
@@ -96,6 +104,48 @@ class TestDiversityReport:
         assert report.node_disjoint_paths == 2
         assert report.survives_any_single_node_failure
         assert report.redundancy_ratio == 1.0
+
+    def test_direct_link_survives_single_node_failure(self):
+        # the only path is the link itself: no intermediate node to fail
+        report = diversity_report(complete(3).topology(), "client", "sw0")
+        assert report.path_count == 1
+        assert report.node_disjoint_paths == 1
+        assert report.single_points_of_failure == ()
+        assert report.survives_any_single_node_failure
+
+    @pytest.mark.parametrize(
+        "topology",
+        [
+            ring(6).topology(),
+            ladder(4).topology(),
+            complete(4).topology(),
+            Topology(
+                campus(edges_per_dist=1, clients_per_edge=2, dual_homed=True)
+                .build()
+            ),
+            erdos_renyi(8, 0.3, seed=3).topology(),
+        ],
+        ids=["ring", "ladder", "complete", "campus", "erdos_renyi"],
+    )
+    def test_verdict_matches_brute_force_node_removal(self, topology):
+        nodes = topology.nodes()
+        for i, requester in enumerate(nodes):
+            for provider in nodes[i + 1 :: 2]:
+                report = diversity_report(topology, requester, provider)
+                survives = all(
+                    discover_paths(
+                        topology.with_faults(f"crash:{node}"),
+                        requester,
+                        provider,
+                    )
+                    for node in nodes
+                    if node not in (requester, provider)
+                )
+                assert report.survives_any_single_node_failure == survives, (
+                    requester,
+                    provider,
+                )
+                assert survives == (not report.single_points_of_failure)
 
     def test_ladder_many_paths_few_disjoint(self):
         topology = ladder(5).topology()

@@ -51,6 +51,17 @@ class TestNesting:
         assert span.end is not None
         assert tracer.current() is None
 
+    def test_record_adds_a_closed_span_on_the_origin_clock(self):
+        tracer = Tracer(origin=100.0)
+        first = tracer.record("early", 100.0, 100.25, modules=3)
+        with tracer.span("outer"):
+            nested = tracer.record("inner", 100.5, 101.0)
+        assert [r.name for r in tracer.roots] == ["early", "outer"]
+        assert (first.start, first.duration, first.attrs) == (0.0, 0.25, {"modules": 3})
+        assert tracer.roots[1].children == [nested]
+        assert (nested.start, nested.end) == (0.5, 1.0)
+        assert tracer.span_count == 3
+
     def test_durations_are_monotone(self):
         tracer = Tracer()
         with tracer.span("outer"):
