@@ -10,13 +10,25 @@ component X fails, what happens to this service invocation?* — which
 atomic services lose connectivity entirely, which merely lose redundancy,
 and what the degraded availability is.  :func:`impact_table` runs it for
 every UPSIM component and ranks by severity, producing the triage list a
-service operator would start from.
+service operator would start from.  Both, and the resilience campaign,
+evaluate through :func:`conditional_availabilities`, the one batched
+route that conditions the nominal structure on elements being down.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.analysis.exact import DEFAULT_KERNEL, KERNELS, system_availability
 from repro.analysis.transformations import (
@@ -34,6 +46,7 @@ __all__ = [
     "failure_impact",
     "combined_failure_impact",
     "impact_table",
+    "conditional_availabilities",
 ]
 
 
@@ -60,10 +73,86 @@ class FailureImpact:
         return self.baseline_availability - self.conditional_availability
 
 
-def _surviving_paths(
-    path_sets: Sequence[FrozenSet[str]], components: FrozenSet[str]
-) -> List[FrozenSet[str]]:
-    return [path for path in path_sets if not (path & components)]
+def _service_path_sets(
+    upsim: UPSIM, *, include_links: bool
+) -> Dict[str, List[FrozenSet[str]]]:
+    """Per atomic service, the component sets of its paths."""
+    return {
+        atomic_service: pair_path_sets(path_set, include_links=include_links)
+        for atomic_service, path_set in upsim.path_sets.items()
+    }
+
+
+def _outages(
+    service_sets: Dict[str, List[FrozenSet[str]]], gone: FrozenSet[str]
+) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """``(disconnected, degraded)`` atomic services with *gone* down: no
+    surviving path, or fewer surviving paths than nominal."""
+    disconnected: List[str] = []
+    degraded: List[str] = []
+    if gone:
+        for atomic_service, sets in service_sets.items():
+            surviving = sum(1 for path in sets if path.isdisjoint(gone))
+            if not surviving:
+                disconnected.append(atomic_service)
+            elif surviving < len(sets):
+                degraded.append(atomic_service)
+    return tuple(disconnected), tuple(degraded)
+
+
+def conditional_availabilities(
+    upsim: UPSIM,
+    scenarios: Sequence[Tuple[AbstractSet[str], Mapping[str, float]]],
+    *,
+    include_links: bool = True,
+    kernel: str = DEFAULT_KERNEL,
+) -> List[float]:
+    """Service availability under each ``(gone, table)`` scenario: the
+    availability *table* with every *gone* element forced to 0.
+
+    Taking nodes or links away never creates a path, so a faulted
+    service's structure is the nominal one conditioned on the gone
+    elements being down, and one compile serves every scenario.  With
+    ``kernel="bdd"`` the scenarios are the rows of one
+    :meth:`~repro.dependability.bdd.AvailabilityKernel.evaluate_many`
+    batch (scenarios sharing a table object share its probability
+    vector); ``"ie"``/``"enum"`` run
+    :func:`repro.analysis.exact.system_availability` once per scenario.
+    """
+    if kernel != "bdd":
+        groups = service_path_set_groups(upsim, include_links=include_links)
+        values = []
+        for gone, table in scenarios:
+            forced = dict(table)
+            forced.update(dict.fromkeys(gone, 0.0))
+            values.append(system_availability(groups, forced, kernel=kernel))
+        return values
+
+    import numpy as np
+
+    compiled = service_availability_kernel(upsim, include_links=include_links)
+    vectors: Dict[int, np.ndarray] = {}
+    matrix = np.empty((len(scenarios), len(compiled.variables)))
+    for row, (gone, table) in enumerate(scenarios):
+        vector = vectors.get(id(table))
+        if vector is None:
+            vector = vectors[id(table)] = compiled.probability_vector(table)
+        matrix[row] = vector
+        for name in gone:
+            column = compiled.index.get(name)
+            if column is not None:
+                matrix[row, column] = 0.0
+    return compiled.evaluate_many(matrix).tolist()
+
+
+def _check_components(
+    upsim: UPSIM, names: Iterable[str], table: Mapping[str, float]
+) -> None:
+    for name in names:
+        if name not in table:
+            raise AnalysisError(
+                f"component {name!r} is not part of UPSIM {upsim.model.name!r}"
+            )
 
 
 def combined_failure_impact(
@@ -82,11 +171,11 @@ def combined_failure_impact(
     where nothing is structurally down but the table carries overridden
     MTBF/MTTR values).
 
-    The default ``kernel="bdd"`` compiles the service structure once (and
-    finds it in the kernel cache on every subsequent call for the same
-    UPSIM — a campaign sweeping hundreds of fault combinations pays one
-    compilation); ``"enum"``/``"ie"`` route through
-    :func:`repro.analysis.exact.system_availability`.
+    Baseline and conditional availability are two scenarios of
+    :func:`conditional_availabilities`: with the default ``kernel="bdd"``
+    the service structure compiles once (and is found in the kernel cache
+    on every later call for the same UPSIM); ``"enum"``/``"ie"`` route
+    through :func:`repro.analysis.exact.system_availability`.
     """
     if kernel not in KERNELS:
         raise AnalysisError(
@@ -95,75 +184,29 @@ def combined_failure_impact(
     with _trace.span(
         "analysis.failure_impact", components=len(components), kernel=kernel
     ):
-        return _combined_failure_impact(
+        table = (
+            availabilities
+            if availabilities is not None
+            else component_availabilities(upsim.model, include_links=include_links)
+        )
+        down = frozenset(components)
+        _check_components(upsim, down, table)
+        disconnected, degraded = _outages(
+            _service_path_sets(upsim, include_links=include_links), down
+        )
+        baseline, conditional = conditional_availabilities(
             upsim,
-            components,
+            [(frozenset(), table), (down, table)],
             include_links=include_links,
-            availabilities=availabilities,
             kernel=kernel,
         )
-
-
-def _combined_failure_impact(
-    upsim: UPSIM,
-    components: Sequence[str],
-    *,
-    include_links: bool,
-    availabilities: Optional[Dict[str, float]],
-    kernel: str,
-) -> FailureImpact:
-    table = (
-        dict(availabilities)
-        if availabilities is not None
-        else component_availabilities(upsim.model, include_links=include_links)
-    )
-    down = frozenset(components)
-    for component in down:
-        if component not in table:
-            raise AnalysisError(
-                f"component {component!r} is not part of UPSIM "
-                f"{upsim.model.name!r}"
-            )
-
-    disconnected: List[str] = []
-    degraded: List[str] = []
-    if down:
-        for atomic_service, path_set in upsim.path_sets.items():
-            sets = pair_path_sets(path_set, include_links=include_links)
-            surviving = _surviving_paths(sets, down)
-            if not surviving:
-                disconnected.append(atomic_service)
-            elif len(surviving) < len(sets):
-                degraded.append(atomic_service)
-
-    if kernel == "bdd":
-        compiled = service_availability_kernel(upsim, include_links=include_links)
-        baseline = compiled.availability(table)
-        if down:
-            forced = dict(table)
-            for component in down:
-                forced[component] = 0.0
-            conditional = compiled.availability(forced)
-        else:
-            conditional = baseline
-    else:
-        groups = service_path_set_groups(upsim, include_links=include_links)
-        baseline = system_availability(groups, table, kernel=kernel)
-        if down:
-            forced = dict(table)
-            for component in down:
-                forced[component] = 0.0
-            conditional = system_availability(groups, forced, kernel=kernel)
-        else:
-            conditional = baseline
-
-    return FailureImpact(
-        component="+".join(sorted(down)),
-        disconnected_services=tuple(disconnected),
-        degraded_services=tuple(degraded),
-        conditional_availability=conditional,
-        baseline_availability=baseline,
-    )
+        return FailureImpact(
+            component="+".join(sorted(down)),
+            disconnected_services=disconnected,
+            degraded_services=degraded,
+            conditional_availability=conditional,
+            baseline_availability=baseline,
+        )
 
 
 def failure_impact(
@@ -215,24 +258,27 @@ def impact_table(
                 link_component_name(a, b) for a, b in sorted(upsim.used_links())
             )
     table = component_availabilities(upsim.model, include_links=include_links)
+    _check_components(upsim, names, table)
     with _trace.span(
         "analysis.impact_table", components=len(names), kernel=kernel
     ):
-        if kernel == "bdd":
-            impacts = _impact_table_batched(
-                upsim, names, table, include_links=include_links
+        service_sets = _service_path_sets(upsim, include_links=include_links)
+        downs = [frozenset((name,)) for name in names]
+        baseline, *conditionals = conditional_availabilities(
+            upsim,
+            [(frozenset(), table)] + [(down, table) for down in downs],
+            include_links=include_links,
+            kernel=kernel,
+        )
+        impacts = [
+            FailureImpact(
+                name,
+                *_outages(service_sets, down),
+                conditional_availability=conditional,
+                baseline_availability=baseline,
             )
-        else:
-            impacts = [
-                failure_impact(
-                    upsim,
-                    name,
-                    include_links=include_links,
-                    availabilities=table,
-                    kernel=kernel,
-                )
-                for name in names
-            ]
+            for name, down, conditional in zip(names, downs, conditionals)
+        ]
     impacts.sort(
         key=lambda impact: (
             -len(impact.disconnected_services),
@@ -240,56 +286,4 @@ def impact_table(
             impact.component,
         )
     )
-    return impacts
-
-
-def _impact_table_batched(
-    upsim: UPSIM,
-    names: Sequence[str],
-    table: Dict[str, float],
-    *,
-    include_links: bool,
-) -> List[FailureImpact]:
-    """One compiled kernel, one probability matrix, one vectorized pass."""
-    import numpy as np
-
-    for name in names:
-        if name not in table:
-            raise AnalysisError(
-                f"component {name!r} is not part of UPSIM {upsim.model.name!r}"
-            )
-    compiled = service_availability_kernel(upsim, include_links=include_links)
-    base_vector = compiled.probability_vector(table)
-    baseline = float(compiled.evaluate_many(base_vector[np.newaxis, :])[0])
-    matrix = np.repeat(base_vector[np.newaxis, :], len(names), axis=0)
-    for row, name in enumerate(names):
-        column = compiled.index.get(name)
-        if column is not None:
-            matrix[row, column] = 0.0
-    conditionals = compiled.evaluate_many(matrix)
-
-    service_sets = {
-        atomic_service: pair_path_sets(path_set, include_links=include_links)
-        for atomic_service, path_set in upsim.path_sets.items()
-    }
-    impacts: List[FailureImpact] = []
-    for row, name in enumerate(names):
-        down = frozenset((name,))
-        disconnected: List[str] = []
-        degraded: List[str] = []
-        for atomic_service, sets in service_sets.items():
-            surviving = _surviving_paths(sets, down)
-            if not surviving:
-                disconnected.append(atomic_service)
-            elif len(surviving) < len(sets):
-                degraded.append(atomic_service)
-        impacts.append(
-            FailureImpact(
-                component=name,
-                disconnected_services=tuple(disconnected),
-                degraded_services=tuple(degraded),
-                conditional_availability=float(conditionals[row]),
-                baseline_availability=baseline,
-            )
-        )
     return impacts

@@ -3,20 +3,29 @@
 :func:`run_campaign` answers "which failures hurt this service's users,
 and how much?" systematically: it generates candidate faults (every
 UPSIM component crash by default, optionally cable cuts), sweeps all
-single- and k-fault combinations, evaluates each combination on a
-copy-on-write :class:`~repro.resilience.overlay.FaultOverlayTopology`
-with the degradation-tolerant runner, and ranks the results by
-unreachable-pair count and availability loss — reusing
-:func:`repro.analysis.whatif.combined_failure_impact` for the
-availability side of the ranking.
+single- and k-fault combinations, and ranks them by unreachable-pair
+count and availability loss.
+
+Every combination is evaluated by *conditioning* the nominal UPSIM, not
+by rediscovering a faulted copy of the topology.  The UPSIM holds
+exactly the components on some requester-provider path, and taking
+nodes or links away never creates a simple path, so under a fault plan a
+pair's surviving paths are exactly its nominal paths that avoid every
+crashed node and cut link.  Reachability, path counts and outages are
+read off the nominal path sets; availability is one row per plan (degrade
+overrides applied, gone elements at 0) of one batch over the one nominal
+compile (:func:`repro.analysis.whatif.conditional_availabilities`).  The
+nearest-cut diagnostic of an unreachable pair walks the base adjacency
+around the downed elements (:func:`repro.resilience.runner._nearest_cut`).
 
 Determinism contract: a campaign is a pure function of its inputs.
 Flapping faults resolve through seeded schedules, evaluation memoizes by
 resolved-plan fingerprint (so a flap that resolves to the same crash
-pattern on two ticks is evaluated once — and the underlying PathSets are
-additionally memoized by overlay fingerprint inside the engine), and
+pattern on two ticks is evaluated once), and
 :meth:`CampaignReport.to_dict` excludes wall-clock timing.  Equal inputs
-therefore produce byte-identical reports.
+therefore produce byte-identical reports — byte-identical, too, to
+applying each plan as a :class:`~repro.resilience.overlay.FaultOverlayTopology`
+and rediscovering every pair with the degradation-tolerant runner.
 """
 
 from __future__ import annotations
@@ -24,11 +33,24 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.analysis.exact import DEFAULT_KERNEL, KERNELS
-from repro.analysis.whatif import combined_failure_impact
 from repro.analysis.transformations import component_availabilities
+from repro.analysis.whatif import (
+    _outages,
+    _service_path_sets,
+    conditional_availabilities,
+)
 from repro.core.mapping import ServiceMapping
 from repro.core.upsim import UPSIM, generate_upsim
 from repro.dependability.availability import (
@@ -40,11 +62,8 @@ from repro.network.topology import Topology
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.resilience.faults import Fault, FaultPlan
-from repro.resilience.runner import (
-    DiscoveryOutcome,
-    PairDiagnostic,
-    discover_many_resilient,
-)
+from repro.resilience.overlay import check_plan, link_names
+from repro.resilience.runner import PairDiagnostic, _adjacency, _nearest_cut
 from repro.services.composite import CompositeService
 from repro.uml.objects import ObjectModel
 
@@ -207,11 +226,12 @@ def _degraded_table(
 class _Evaluation:
     """Cached per-resolved-plan evaluation."""
 
-    outcome: DiscoveryOutcome
+    diagnostics: Tuple[PairDiagnostic, ...]
     unreachable: Tuple[Tuple[str, str], ...]
     disconnected: Tuple[str, ...]
     degraded: Tuple[str, ...]
-    availability: float
+    #: filled in by the campaign's one batched evaluation
+    availability: float = 0.0
 
 
 def run_campaign(
@@ -234,13 +254,19 @@ def run_campaign(
     are memoized by resolved-plan fingerprint, so overlapping
     combinations and repeating flap schedules cost nothing extra.
 
+    Every distinct resolved plan is checked against the topology and
+    then conditions the nominal UPSIM: a pair's surviving paths are its
+    nominal paths that avoid every crashed node and cut link, and the
+    plan's availability is one row — degrade overrides applied, gone
+    elements set to 0 — of one batch over the nominal structure.
+
     *kernel* selects the availability evaluator
     (:data:`repro.analysis.exact.KERNELS`).  The default ``"bdd"``
-    compiles the service structure once; every fault combination then
-    costs one O(|BDD|) probability pass instead of a fresh 2^n state
-    enumeration — the campaign sweep's dominant cost in the seed.  The
-    report is byte-identical for equal inputs regardless of kernel (up
-    to float noise between kernels).
+    compiles the service structure once and evaluates every row in one
+    :meth:`~repro.dependability.bdd.AvailabilityKernel.evaluate_many`
+    pass; ``"ie"``/``"enum"`` evaluate row by row.  The report is
+    byte-identical for equal inputs regardless of kernel (up to float
+    noise between kernels).
     """
     if k < 1:
         raise FaultPlanError(f"campaign needs k >= 1, got {k}")
@@ -263,9 +289,9 @@ def run_campaign(
         for pair in mapping.pairs_for_service(service)
     )
     nominal_table = component_availabilities(upsim.model, include_links=True)
-    baseline = combined_failure_impact(
-        upsim, (), availabilities=nominal_table, kernel=kernel
-    ).baseline_availability
+    (baseline,) = conditional_availabilities(
+        upsim, [(frozenset(), nominal_table)], kernel=kernel
+    )
 
     if candidates is None:
         fault_pool = default_candidates(upsim, include_links=include_links)
@@ -276,66 +302,113 @@ def run_campaign(
     if not fault_pool:
         raise FaultPlanError("campaign has no candidate faults to inject")
 
-    evaluations: Dict[str, _Evaluation] = {}
+    links = link_names(topology)
+    adjacency = _adjacency(topology)
+    # per atomic service and per (requester, provider) pair, the element
+    # sets of its nominal paths
+    service_sets = _service_path_sets(upsim, include_links=True)
+    pair_paths = {
+        (path_set.requester, path_set.provider): service_sets[atomic_service]
+        for atomic_service, path_set in upsim.path_sets.items()
+    }
+    touched = {
+        atomic_service: frozenset().union(*sets)
+        for atomic_service, sets in service_sets.items()
+    }
 
-    def evaluate(resolved: FaultPlan) -> _Evaluation:
-        cached = evaluations.get(resolved.fingerprint())
-        if cached is not None:
-            _M_MEMO_HITS.inc()
-            return cached
-        _M_FAULTS_INJECTED.inc(len(resolved))
-        with _trace.span("campaign.evaluate", faults=len(resolved)):
-            return _evaluate_fresh(resolved)
-
-    def _evaluate_fresh(resolved: FaultPlan) -> _Evaluation:
-        overlay = resolved.apply(topology)
-        outcome = discover_many_resilient(overlay, pairs)
-        table = _degraded_table(upsim, resolved, nominal_table)
-        structural = [
-            name for name in resolved.component_names() if name in table
-        ]
-        impact = combined_failure_impact(
-            upsim, structural, availabilities=table, kernel=kernel
-        )
+    def condition(
+        plan: FaultPlan,
+    ) -> Tuple[_Evaluation, Tuple[FrozenSet[str], Dict[str, float]]]:
+        """The plan's diagnostics and outages, read off the nominal paths,
+        and its availability row: the gone elements and the degraded
+        table."""
+        check_plan(topology, plan, links)
+        table = _degraded_table(upsim, plan, nominal_table)
+        down = set(plan.downed_nodes())
+        cut = set(plan.cut_links())
+        gone = frozenset(down | cut)
+        context = plan.specs()
+        diagnostics = []
+        for requester, provider in dict.fromkeys(pairs):
+            count = sum(
+                1
+                for path in pair_paths[(requester, provider)]
+                if path.isdisjoint(gone)
+            )
+            status, reason, frontier = "ok", "", ()
+            if requester in down or provider in down:
+                role, node = (
+                    ("requester", requester)
+                    if requester in down
+                    else ("provider", provider)
+                )
+                status = "unreachable"
+                reason = f"{role} {node!r} crashed by fault injection"
+                frontier = (node,)
+            elif not count:
+                status, reason = "unreachable", "no surviving path"
+                frontier = _nearest_cut(adjacency, down, cut, requester)
+            diagnostics.append(
+                PairDiagnostic(
+                    requester,
+                    provider,
+                    status,
+                    reason=reason,
+                    path_count=count,
+                    fault_context=context,
+                    nearest_cut=frontier,
+                )
+            )
+        disconnected, degraded = _outages(service_sets, gone)
         # degrade faults leave every path alive but still weaken any
         # service whose paths visit an overridden component
-        degraded = set(impact.degraded_services)
         weakened = {
             target
-            for target in resolved.overrides()
+            for target in plan.overrides()
             if table.get(target) != nominal_table.get(target)
         }
-        if weakened:
-            for atomic_service, path_set in upsim.path_sets.items():
-                if atomic_service in degraded:
-                    continue
-                if atomic_service in impact.disconnected_services:
-                    continue
-                touched = set(path_set.nodes())
-                touched.update(
-                    "|".join(sorted((a, b))) for a, b in path_set.links()
-                )
-                if touched & weakened:
-                    degraded.add(atomic_service)
-        evaluation = _Evaluation(
-            outcome=outcome,
-            unreachable=tuple(
-                (d.requester, d.provider) for d in outcome.failed()
-            ),
-            disconnected=impact.disconnected_services,
-            degraded=tuple(sorted(degraded)),
-            availability=impact.conditional_availability,
+        degraded = set(degraded).union(
+            atomic_service
+            for atomic_service, elements in touched.items()
+            if atomic_service not in disconnected and elements & weakened
         )
-        evaluations[resolved.fingerprint()] = evaluation
-        return evaluation
+        evaluation = _Evaluation(
+            diagnostics=tuple(diagnostics),
+            unreachable=tuple(
+                (d.requester, d.provider) for d in diagnostics if not d.ok
+            ),
+            disconnected=disconnected,
+            degraded=tuple(sorted(degraded)),
+        )
+        return evaluation, (gone, table)
 
     _M_CAMPAIGNS.inc()
     with _trace.span(
         "campaign.run", service=service.name, k=k, ticks=ticks, kernel=kernel
     ) as sweep_span:
-        results = _sweep(
-            fault_pool, k, ticks, evaluate, baseline, sweep_span
-        )
+        sweep = list(_combinations(fault_pool, k, ticks))
+        evaluations: Dict[str, _Evaluation] = {}
+        scenarios = []
+        for _, resolved_plans in sweep:
+            for fingerprint, resolved in resolved_plans:
+                if fingerprint in evaluations:
+                    _M_MEMO_HITS.inc()
+                    continue
+                _M_FAULTS_INJECTED.inc(len(resolved))
+                evaluations[fingerprint], row = condition(resolved)
+                scenarios.append(row)
+        with _trace.span(
+            "campaign.evaluate", rows=len(scenarios), kernel=kernel
+        ):
+            availabilities = conditional_availabilities(
+                upsim, scenarios, kernel=kernel
+            )
+        for evaluation, availability in zip(
+            evaluations.values(), availabilities
+        ):
+            evaluation.availability = availability
+        sweep_span.set(plans=len(evaluations))
+        results = _sweep(sweep, evaluations, baseline, sweep_span)
     _metrics.gauge(
         "repro_campaign_memo_entries",
         "Distinct resolved fault plans evaluated by the last campaign",
@@ -349,61 +422,70 @@ def run_campaign(
     )
 
 
-def _sweep(
-    fault_pool: List[Fault],
-    k: int,
-    ticks: int,
-    evaluate,
-    baseline: float,
-    sweep_span,
-) -> List[CampaignResult]:
-    """All 1..k-fault combinations, evaluated and ranked most severe first."""
-    results: List[CampaignResult] = []
+def _combinations(
+    fault_pool: List[Fault], k: int, ticks: int
+) -> Iterator[Tuple[FaultPlan, List[Tuple[str, FaultPlan]]]]:
+    """All 1..k-fault combinations, each with its ``(fingerprint, plan)``
+    resolution per swept tick."""
     for size in range(1, min(k, len(fault_pool)) + 1):
         for combo in combinations(fault_pool, size):
             plan = FaultPlan(combo)
             if len(plan) < size:
                 continue  # duplicate faults collapsed — same as a smaller combo
             _M_COMBINATIONS.inc()
-            tick_range = range(ticks) if not plan.is_resolved else range(1)
-            unreachable: Dict[Tuple[str, str], None] = {}
-            disconnected: Dict[str, None] = {}
-            degraded: Dict[str, None] = {}
-            availability_sum = 0.0
-            active_ticks = 0
-            worst: Optional[_Evaluation] = None
-            for tick in tick_range:
-                resolved = plan.at(tick)
-                evaluation = evaluate(resolved)
-                if len(resolved):
-                    active_ticks += 1
-                availability_sum += evaluation.availability
-                for pair in evaluation.unreachable:
-                    unreachable.setdefault(pair)
-                for name in evaluation.disconnected:
-                    disconnected.setdefault(name)
-                for name in evaluation.degraded:
-                    degraded.setdefault(name)
-                if worst is None or len(evaluation.unreachable) > len(
-                    worst.unreachable
-                ):
-                    worst = evaluation
-            assert worst is not None
-            availability = availability_sum / len(tick_range)
-            results.append(
-                CampaignResult(
-                    faults=plan.specs(),
-                    fingerprint=plan.fingerprint(),
-                    ticks_evaluated=len(tick_range),
-                    active_ticks=active_ticks,
-                    unreachable_pairs=tuple(unreachable),
-                    disconnected_services=tuple(disconnected),
-                    degraded_services=tuple(degraded),
-                    availability=availability,
-                    availability_loss=baseline - availability,
-                    diagnostics=tuple(worst.outcome.diagnostics),
-                )
+            resolved = (
+                [plan] if plan.is_resolved else [plan.at(t) for t in range(ticks)]
             )
+            yield plan, [(r.fingerprint(), r) for r in resolved]
+
+
+def _sweep(
+    sweep: List[Tuple[FaultPlan, List[Tuple[str, FaultPlan]]]],
+    evaluations: Dict[str, _Evaluation],
+    baseline: float,
+    sweep_span,
+) -> List[CampaignResult]:
+    """Every combination aggregated over its ticks, ranked most severe
+    first."""
+    results: List[CampaignResult] = []
+    for plan, resolved_plans in sweep:
+        unreachable: Dict[Tuple[str, str], None] = {}
+        disconnected: Dict[str, None] = {}
+        degraded: Dict[str, None] = {}
+        availability_sum = 0.0
+        active_ticks = 0
+        worst: Optional[_Evaluation] = None
+        for fingerprint, resolved in resolved_plans:
+            evaluation = evaluations[fingerprint]
+            if len(resolved):
+                active_ticks += 1
+            availability_sum += evaluation.availability
+            for pair in evaluation.unreachable:
+                unreachable.setdefault(pair)
+            for name in evaluation.disconnected:
+                disconnected.setdefault(name)
+            for name in evaluation.degraded:
+                degraded.setdefault(name)
+            if worst is None or len(evaluation.unreachable) > len(
+                worst.unreachable
+            ):
+                worst = evaluation
+        assert worst is not None
+        availability = availability_sum / len(resolved_plans)
+        results.append(
+            CampaignResult(
+                faults=plan.specs(),
+                fingerprint=plan.fingerprint(),
+                ticks_evaluated=len(resolved_plans),
+                active_ticks=active_ticks,
+                unreachable_pairs=tuple(unreachable),
+                disconnected_services=tuple(disconnected),
+                degraded_services=tuple(degraded),
+                availability=availability,
+                availability_loss=baseline - availability,
+                diagnostics=worst.diagnostics,
+            )
+        )
 
     results.sort(
         key=lambda r: (

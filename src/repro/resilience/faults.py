@@ -15,6 +15,8 @@ Supported fault kinds (spec syntax in parentheses):
     incident link.
 ``cut``  (``cut:<a>|<b>``)
     The cable between *a* and *b* is severed; both endpoints stay up.
+    Link targets (of ``cut`` and ``degrade``) are canonicalised to
+    sorted ``a|b`` order, so either spelling names the same fault.
 ``flap``  (``flap:<component>@<seed>[:<duty>]``)
     Intermittent failure: the component is down on a pseudo-random
     subset of discrete ticks drawn from a seeded schedule (*duty* is the
@@ -67,8 +69,8 @@ class Fault:
             )
         if not self.target:
             raise FaultPlanError(f"{self.kind} fault needs a target component")
+        a, sep, b = self.target.partition("|")
         if self.kind == "cut":
-            a, sep, b = self.target.partition("|")
             if not sep or not a or not b:
                 raise FaultPlanError(
                     f"cut fault target must name a link as '<a>|<b>', "
@@ -78,6 +80,9 @@ class Fault:
                 raise FaultPlanError(
                     f"cut fault needs two distinct endpoints, got {self.target!r}"
                 )
+        if self.kind in ("cut", "degrade") and sep and a and b:
+            # a link is one component whichever end is typed first
+            object.__setattr__(self, "target", _link_name(a, b))
         if self.kind == "flap":
             if self.seed is None:
                 raise FaultPlanError(
@@ -110,7 +115,7 @@ class Fault:
 
     @classmethod
     def cut(cls, a: str, b: str) -> "Fault":
-        return cls("cut", _link_name(a, b))
+        return cls("cut", f"{a}|{b}")
 
     @classmethod
     def flap(cls, component: str, seed: int, duty: float = 0.5) -> "Fault":

@@ -37,6 +37,32 @@ from repro.uml.objects import InstanceSpecification, Link
 __all__ = ["FaultOverlayTopology"]
 
 
+def link_names(topology: Topology) -> Set[str]:
+    """Canonical ``a|b`` names of every link of *topology*."""
+    return {_link_name(a, b) for a, b in topology.edges()}
+
+
+def check_plan(base: Topology, plan: FaultPlan, links: Set[str]) -> None:
+    """Raise :class:`FaultPlanError` unless every fault target of *plan*
+    exists in *base*; *links* is ``link_names(base)``, computed once by a
+    caller that checks many plans."""
+    problems: List[str] = []
+    for fault in plan:
+        if fault.kind == "cut":
+            if fault.target not in links:
+                problems.append(f"cut: no link {fault.target!r}")
+        elif fault.kind == "degrade" and "|" in fault.target:
+            if fault.target not in links:
+                problems.append(f"degrade: no link {fault.target!r}")
+        elif not base.has_node(fault.target):
+            problems.append(f"{fault.kind}: no component {fault.target!r}")
+    if problems:
+        raise FaultPlanError(
+            f"fault plan does not match topology {base.name!r}: "
+            f"{'; '.join(problems)}"
+        )
+
+
 class FaultOverlayTopology(Topology):
     """A topology view with a resolved fault plan applied on read."""
 
@@ -52,29 +78,7 @@ class FaultOverlayTopology(Topology):
         self._down: Set[str] = set(plan.downed_nodes())
         self._cut: Set[str] = set(plan.cut_links())
         self._overrides = plan.overrides()
-        self._validate()
-
-    def _validate(self) -> None:
-        """Every fault target must exist in the base topology."""
-        problems: List[str] = []
-        base = self.base
-        link_names = {_link_name(a, b) for a, b in base.edges()}
-        for fault in self.plan:
-            if fault.kind == "cut":
-                if fault.target not in link_names:
-                    problems.append(f"cut: no link {fault.target!r}")
-            elif fault.kind == "degrade" and "|" in fault.target:
-                if fault.target not in link_names:
-                    problems.append(f"degrade: no link {fault.target!r}")
-            elif not base.has_node(fault.target):
-                problems.append(
-                    f"{fault.kind}: no component {fault.target!r}"
-                )
-        if problems:
-            raise FaultPlanError(
-                f"fault plan does not match topology {base.name!r}: "
-                f"{'; '.join(problems)}"
-            )
+        check_plan(base, plan, link_names(base))
 
     # -- size and membership ----------------------------------------------
 

@@ -33,7 +33,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.engine import discover
 from repro.core.pathdiscovery import PathSet
@@ -176,30 +176,48 @@ class DiscoveryOutcome:
         raise KeyError((requester, provider))
 
 
-def _nearest_cut(topology: Topology, requester: str) -> Tuple[str, ...]:
+def _adjacency(topology: Topology) -> Dict[str, List[Tuple[str, str]]]:
+    """Every node's ``(neighbor, canonical link name)`` pairs — the base
+    adjacency :func:`_nearest_cut` walks, built once per base."""
+    return {
+        node: [
+            (neighbor, _link_name(node, neighbor))
+            for neighbor in topology.neighbors(node)
+        ]
+        for node in topology.nodes()
+    }
+
+
+def _nearest_cut(
+    adjacency: Dict[str, List[Tuple[str, str]]],
+    down: AbstractSet[str],
+    cut: AbstractSet[str],
+    requester: str,
+) -> Tuple[str, ...]:
     """Faulted elements on the frontier of the requester's surviving region.
 
-    Only meaningful on a fault overlay: walk the surviving component
-    around *requester*, then collect every crashed neighbor and severed
-    link incident to it in the *base* topology.  On a plain topology (or
-    a crashed requester) there is no frontier to report.
+    Walk the base *adjacency* from *requester* without entering a downed
+    node or crossing a cut link; every downed neighbor and cut link met on
+    the way is on the frontier.  A downed requester is its own cut; one
+    outside the base has none.
     """
-    if not isinstance(topology, FaultOverlayTopology):
+    if requester not in adjacency:
         return ()
-    if not topology.has_node(requester):
-        # the requester itself is down — it is its own cut
-        return (requester,) if topology.base.has_node(requester) else ()
-    region = topology.reachable_from(requester)
-    cut: set = set()
-    down = topology._down
-    severed = topology._cut
-    for node in region:
-        for neighbor in topology.base.neighbors(node):
+    if requester in down:
+        return (requester,)
+    region = {requester}
+    frontier = [requester]
+    found: set = set()
+    while frontier:
+        for neighbor, link in adjacency[frontier.pop()]:
             if neighbor in down:
-                cut.add(neighbor)
-            elif _link_name(node, neighbor) in severed:
-                cut.add(_link_name(node, neighbor))
-    return tuple(sorted(cut))
+                found.add(neighbor)
+            elif link in cut:
+                found.add(link)
+            elif neighbor not in region:
+                region.add(neighbor)
+                frontier.append(neighbor)
+    return tuple(sorted(found))
 
 
 def _attempt_with_deadline(run, timeout: Optional[float]):
@@ -317,7 +335,14 @@ def discover_many_resilient(
                         if context
                         else "no path in the topology",
                         attempts=attempt,
-                        nearest_cut=_nearest_cut(topology, requester),
+                        nearest_cut=_nearest_cut(
+                            _adjacency(topology.base),
+                            topology._down,
+                            topology._cut,
+                            requester,
+                        )
+                        if isinstance(topology, FaultOverlayTopology)
+                        else (),
                     )
                 outcome.path_sets[pair] = path_set
                 return diag(

@@ -7,7 +7,9 @@ import json
 import pytest
 
 from repro.core.mapping import ServiceMapping, ServiceMappingPair
-from repro.errors import FaultPlanError
+from repro.errors import AnalysisError, FaultPlanError
+from repro.obs import metrics as _metrics
+from repro.obs.trace import Tracer, activate
 from repro.resilience import Fault, default_candidates, run_campaign
 from repro.services.atomic import AtomicService
 from repro.services.composite import CompositeService
@@ -210,3 +212,130 @@ class TestCampaignKernels:
     def test_unknown_kernel_rejected(self, usi, printing, table1):
         with pytest.raises(FaultPlanError, match="unknown availability kernel"):
             run_campaign(usi, printing, table1, kernel="magic")
+
+
+def _no_match(kind: str, detail: str) -> str:
+    return f"fault plan does not match topology 'usi': {kind}: {detail}"
+
+
+class TestTypedErrors:
+    """The same candidates raise the same typed errors, with the same
+    messages, as evaluating each plan on an overlay did."""
+
+    @pytest.mark.parametrize(
+        "candidates, message",
+        [
+            (["crash:nope"], _no_match("crash", "no component 'nope'")),
+            (["cut:a|zz"], _no_match("cut", "no link 'a|zz'")),
+            (
+                ["degrade:c1|zz:mtbf=500"],
+                _no_match("degrade", "no link 'c1|zz'"),
+            ),
+            # the first failing plan in sweep order is the one reported
+            (
+                ["crash:c1", "crash:nope", "cut:a|zz"],
+                _no_match("crash", "no component 'nope'"),
+            ),
+        ],
+    )
+    def test_unknown_targets(self, usi_topo, printing, table1, candidates, message):
+        with pytest.raises(FaultPlanError) as info:
+            run_campaign(usi_topo, printing, table1, candidates=candidates, k=2)
+        assert str(info.value) == message
+
+    def test_degrade_with_mttr_above_mtbf(self, usi_topo, printing, table1):
+        with pytest.raises(AnalysisError) as info:
+            run_campaign(
+                usi_topo,
+                printing,
+                table1,
+                candidates=["degrade:c1:mtbf=1,mttr=5"],
+            )
+        assert str(info.value) == (
+            "Formula (1) requires MTTR <= MTBF, got MTTR=5.0 > MTBF=1.0"
+        )
+
+    def test_flap_on_unknown_target_raises_when_first_down(
+        self, usi_topo, printing, table1
+    ):
+        """Seed 7 keeps 'ghost' up on ticks 0-2 and down on tick 3: the
+        plan is only wrong once a tick resolves it to a crash."""
+        flap = Fault.parse("flap:ghost@7:0.5")
+        assert [flap.is_down_at(t) for t in range(4)] == [False] * 3 + [True]
+        report = run_campaign(
+            usi_topo, printing, table1, candidates=[flap], ticks=3
+        )
+        assert report.results[0].active_ticks == 0
+        with pytest.raises(FaultPlanError) as info:
+            run_campaign(usi_topo, printing, table1, candidates=[flap], ticks=4)
+        assert str(info.value) == _no_match("crash", "no component 'ghost'")
+
+
+class TestLinkTargetSpelling:
+    def test_degrade_link_either_end_first(self, usi_topo, printing, table1):
+        """A degraded link may be named from either end, as a cut may."""
+        reports = [
+            run_campaign(usi_topo, printing, table1, candidates=[spec])
+            for spec in ("degrade:c2|c1:mtbf=500", "degrade:c1|c2:mtbf=500")
+        ]
+        assert reports[0].to_json() == reports[1].to_json()
+        (result,) = reports[0].results
+        assert result.faults == ("degrade:c1|c2:mtbf=500",)
+        assert result.availability_loss > 0.0
+
+
+def _metric(name: str) -> float:
+    family = _metrics.registry().get(name)
+    return family.value if family is not None else 0.0
+
+
+class TestObservability:
+    COUNTERS = (
+        "repro_campaign_faults_injected_total",
+        "repro_campaign_memo_hits_total",
+        "repro_campaign_combinations_total",
+    )
+
+    @pytest.mark.parametrize(
+        "kwargs, expected",
+        [
+            # 20 candidates: 20 singles + 190 pairs, all distinct plans
+            (dict(k=2, include_links=True), (400, 0, 210, 210)),
+            # flapping plans resolve to repeating crash patterns per tick
+            (
+                dict(
+                    candidates=[
+                        "flap:c1@3:0.5",
+                        "flap:d1@7:0.5",
+                        "crash:c2",
+                        "cut:d1|c1",
+                        "degrade:d4:mtbf=500",
+                    ],
+                    k=2,
+                    ticks=8,
+                ),
+                (23, 63, 15, 15),
+            ),
+        ],
+    )
+    def test_memo_counters(self, usi_topo, printing, table1, kwargs, expected):
+        """Faults injected, memo hits, combinations and memo entries for
+        USI t1/p2, as evaluating plan by plan on overlays counted them."""
+        before = [_metric(name) for name in self.COUNTERS]
+        run_campaign(usi_topo, printing, table1, **kwargs)
+        deltas = [_metric(name) - b for name, b in zip(self.COUNTERS, before)]
+        entries = _metric("repro_campaign_memo_entries")
+        assert (*deltas, entries) == expected
+
+    def test_one_evaluate_span_per_batch(self, usi_topo, printing, table1):
+        tracer = Tracer()
+        with activate(tracer):
+            report = run_campaign(
+                usi_topo, printing, table1, k=2, include_links=True
+            )
+        (run_span,) = tracer.find("campaign.run")
+        assert run_span.attrs["plans"] == 210
+        assert run_span.attrs["combinations"] == len(report.results) == 210
+        (evaluate_span,) = tracer.find("campaign.evaluate")
+        assert evaluate_span.attrs == {"rows": 210, "kernel": "bdd"}
+        assert evaluate_span in run_span.children

@@ -26,6 +26,21 @@ class TestFaultParsing:
         assert Fault.parse("cut:e1|d1").target == "d1|e1"
         assert Fault.parse("cut:e1|d1") == Fault.parse("cut:d1|e1")
 
+    def test_link_targets_canonical_however_built(self):
+        """Direct construction canonicalises too, and so does a degrade
+        on a link: either end may be typed first."""
+        assert Fault("cut", "c2|c1") == Fault.cut("c1", "c2")
+        assert Fault("cut", "c2|c1").spec() == "cut:c1|c2"
+        reversed_, sorted_ = (
+            Fault.parse("degrade:c2|c1:mtbf=500"),
+            Fault.parse("degrade:c1|c2:mtbf=500"),
+        )
+        assert reversed_ == sorted_
+        assert reversed_.target == "c1|c2"
+        assert FaultPlan([reversed_]).fingerprint() == (
+            FaultPlan([sorted_]).fingerprint()
+        )
+
     def test_flap_default_duty(self):
         fault = Fault.parse("flap:e3@7")
         assert fault.seed == 7
