@@ -15,7 +15,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from repro.analysis.exact import (
     DEFAULT_KERNEL,
     KERNELS,
-    MAX_COMPONENTS,
     pair_availability,
     system_availability,
 )
@@ -224,8 +223,10 @@ def analyze_upsim(
         every query — pair and service availabilities, minimal cut sets,
         the full importance gradient — from the same DAG; it is exact at
         any component count.  ``"enum"``/``"ie"`` use the reference
-        evaluators (enumeration falls back to Monte Carlo beyond
-        :data:`~repro.analysis.exact.MAX_COMPONENTS` components).
+        evaluators, and their bound errors propagate: enumeration raises
+        :class:`AnalysisError` beyond
+        :data:`~repro.analysis.exact.MAX_COMPONENTS` components rather
+        than returning an estimate.
     """
     if kernel not in KERNELS:
         raise AnalysisError(
@@ -301,18 +302,9 @@ def _analyze_upsim_traced(
             )
         )
 
-    component_count = len({c for group in groups for path in group for c in path})
-    if kernel == "ie" or component_count <= MAX_COMPONENTS:
-        service_availability = system_availability(
-            groups, availabilities, kernel=kernel
-        )
-    else:
-        # beyond the exact-enumeration bound: estimate with a large
-        # vectorized Monte-Carlo run (factoring the service RBD would be
-        # exponential in its many repeated components)
-        service_availability = _sample_service_availability(
-            groups, availabilities, samples=2_000_000, seed=seed
-        ).mean
+    service_availability = system_availability(
+        groups, availabilities, kernel=kernel
+    )
 
     montecarlo: Optional[MCEstimate] = None
     if montecarlo_samples > 0:
@@ -324,18 +316,8 @@ def _analyze_upsim_traced(
     if importance_components > 0:
         node_names = [name for name in upsim.component_names]
 
-        if kernel == "ie" or component_count <= MAX_COMPONENTS:
-
-            def evaluator(table: Dict[str, float]) -> float:
-                return system_availability(groups, table, kernel=kernel)
-
-        else:
-            # beyond the exact bound: a fixed-seed MC evaluator keeps the
-            # importance perturbations comparable (common random numbers)
-            def evaluator(table: Dict[str, float]) -> float:
-                return _sample_service_availability(
-                    groups, table, samples=200_000, seed=seed
-                ).mean
+        def evaluator(table: Dict[str, float]) -> float:
+            return system_availability(groups, table, kernel=kernel)
 
         importance = importance_table(evaluator, availabilities, node_names)[
             :importance_components

@@ -4,8 +4,8 @@ Subcommands::
 
     upsim casestudy [--client t1] [--printer p2] [--server printS]
         Run the built-in USI case study: print Table I, the discovered
-        paths for every mapping pair (filter with --service, parallelize
-        with --jobs), the UPSIM and the availability report.
+        paths for every mapping pair (filter with --service), the UPSIM
+        and the availability report.
 
     upsim generate --models bundle.xml --service NAME --mapping mapping.xml
         Steps 5-8 on externally-authored models; writes the UPSIM as an
@@ -188,15 +188,6 @@ def _add_observability_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="parallel path-discovery workers (default: serial)",
-    )
-
-
 def _add_dimensions_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--dimensions",
@@ -248,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="only report discovered paths for this atomic service",
     )
-    _add_jobs_arg(case)
     case.add_argument(
         "--inject",
         action="append",
@@ -336,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     population.add_argument(
         "--top", type=int, default=5, help="worst-served users to list"
     )
-    _add_jobs_arg(population)
     _add_compile_args(population)
     _add_observability_args(population)
 
@@ -450,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
         if with_service:
             p.add_argument("--service", required=True, help="activity name")
             p.add_argument("--mapping", required=True, help="mapping XML file")
-            _add_jobs_arg(p)
 
     gen = sub.add_parser("generate", help="generate a UPSIM from model files")
     add_model_args(gen, True)
@@ -549,7 +537,7 @@ def _run_pipeline(args: argparse.Namespace):
         .set_service(service)
         .set_mapping(mapping)
     )
-    report = pipeline.run(jobs=getattr(args, "jobs", None))
+    report = pipeline.run()
     assert report.upsim is not None
     return bundle, report.upsim
 
@@ -602,8 +590,8 @@ def cmd_casestudy(args: argparse.Namespace) -> int:
 
         plan = FaultPlan.parse(args.inject).at(0)
         pipeline.set_fault_plan(plan)
-        policy = ResiliencePolicy(jobs=args.jobs)
-    report = pipeline.run(jobs=args.jobs, resilience=policy)
+        policy = ResiliencePolicy()
+    report = pipeline.run(resilience=policy)
     for stage in report.stages:
         if stage.exception is not None:
             raise stage.exception
@@ -689,7 +677,6 @@ def cmd_population(args: argparse.Namespace) -> int:
         lambda client: printing_mapping(client, args.printer, args.server),
         population,
         shards=args.shards,
-        jobs=args.jobs,
         top=args.top,
     )
     print(report.to_text())

@@ -55,6 +55,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (
     Callable,
     Dict,
@@ -77,6 +78,7 @@ from repro.core.engine import (
 )
 from repro.core.pathdiscovery import PathSet
 from repro.errors import ReproError, TopologyError
+from repro.fanout import call_with_deadline
 from repro.network.topology import Topology
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
@@ -472,7 +474,8 @@ class LiveEvaluator:
         self._crashed: Dict[str, Tuple[object, List[Link]]] = {}
         # the initial epoch must exist before any event arrives; no
         # deadline — a reader-visible evaluator starts consistent
-        self._recompute_unbounded()
+        with _trace.span("dynamics.initial_epoch", pairs=len(self.pairs)):
+            self._recompute_unbounded()
 
     # -- model mutation primitives (state-setting, with undo) ---------------
 
@@ -705,36 +708,20 @@ class LiveEvaluator:
                     time.sleep(policy.backoff * (2 ** (attempt - 1)))
                 compiled, availabilities, pairs = self._prepare()
                 started = time.monotonic()
-                if policy.deadline is None:
-                    try:
-                        computed = self._compute(compiled, availabilities, pairs)
-                    except Exception as exc:  # noqa: BLE001 - quarantined
-                        last_error = exc
-                        continue
-                else:
-                    box: Dict[str, object] = {}
-
-                    def work(c=compiled, a=availabilities, p=pairs) -> None:
-                        try:
-                            box["result"] = self._compute(c, a, p)
-                        except Exception as exc:  # noqa: BLE001
-                            box["error"] = exc
-
-                    worker = threading.Thread(target=work, daemon=True)
-                    worker.start()
-                    worker.join(policy.deadline)
-                    if worker.is_alive():
-                        # abandoned: the worker only holds frozen inputs,
-                        # its (content-addressed) cache writes stay valid
-                        self.stats["deadline_misses"] += 1
-                        _M_DEADLINE_MISSES.inc()
-                        span.set(outcome="deadline")
-                        return False, None
-                    error = box.get("error")
-                    if error is not None:
-                        last_error = error  # type: ignore[assignment]
-                        continue
-                    computed = box["result"]  # type: ignore[assignment]
+                finished, computed, error = call_with_deadline(
+                    partial(self._compute, compiled, availabilities, pairs),
+                    policy.deadline,
+                )
+                if not finished:
+                    # abandoned: the worker only holds frozen inputs,
+                    # its (content-addressed) cache writes stay valid
+                    self.stats["deadline_misses"] += 1
+                    _M_DEADLINE_MISSES.inc()
+                    span.set(outcome="deadline")
+                    return False, None
+                if error is not None:
+                    last_error = error
+                    continue
                 self._adopt(compiled, computed)
                 _H_RECOMPUTE.observe(time.monotonic() - started)
                 span.set(outcome="epoch", epoch=self._epoch, attempts=attempt + 1)

@@ -30,9 +30,9 @@ module makes repeated discovery 10-100x cheaper on realistic topologies
   every memoized result for the old topology.  Below it, full
   enumerations splice per-block path lists from a content-addressed
   block memo that survives mutations of other blocks.
-* :func:`discover_many` — batch discovery for independent mapping pairs
-  with optional thread fan-out (``jobs=``); the serial default and the
-  keyed result dict preserve deterministic ordering of stored results.
+* :func:`discover_many` — batch discovery for independent mapping pairs;
+  the keyed result dict preserves deterministic (first-seen) ordering of
+  stored results.
 
 The public enumerators in :mod:`repro.core.pathdiscovery` delegate here;
 ``discover_paths_networkx`` remains the independent cross-check oracle.
@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -1229,69 +1228,38 @@ def discover_many(
     *,
     max_depth: Optional[int] = None,
     max_paths: Optional[int] = None,
-    jobs: Optional[int] = None,
     use_cache: bool = True,
 ) -> Dict[Tuple[str, str], PathSet]:
     """Discover paths for many (requester, provider) pairs.
 
-    Duplicate pairs are enumerated once.  With ``jobs`` > 1 the distinct
-    pairs fan out over a thread pool (the compiled arrays are shared and
-    read-only); the result dict is keyed and built in first-seen pair
-    order either way, so stored results stay deterministic.  ``jobs``
-    must be >= 1 when given (``None`` means serial) — zero or negative
-    worker counts raise :class:`PathDiscoveryError` up front instead of
-    surfacing as an opaque executor error.
-
-    A failing worker never surfaces as a bare future error: the raised
-    :class:`PathDiscoveryError` names the (requester, provider) pair that
-    failed.
+    Duplicate pairs are enumerated once; the result dict is keyed and
+    built in first-seen pair order, so stored results stay deterministic.
+    A failure never surfaces bare: the raised :class:`PathDiscoveryError`
+    names the (requester, provider) pair that failed.
     """
-    if jobs is not None and jobs < 1:
-        raise PathDiscoveryError(
-            f"jobs must be >= 1, got {jobs}; omit it (or pass None) for "
-            f"the serial default"
-        )
     unique: List[Tuple[str, str]] = list(dict.fromkeys(tuple(p) for p in pairs))
-    compiled = compile_topology(topology)
-    compiled.ensure_structure()  # share one decomposition across workers
-
-    tracer = _trace.get_tracer()
-
-    def run_one(pair: Tuple[str, str], parent=None):
-        try:
-            with tracer.context(parent):
-                return discover(
+    with _trace.span("engine.discover_many", pairs=len(unique)):
+        results: Dict[Tuple[str, str], PathSet] = {}
+        for requester, provider in unique:
+            try:
+                results[requester, provider] = discover(
                     topology,
-                    pair[0],
-                    pair[1],
+                    requester,
+                    provider,
                     max_depth=max_depth,
                     max_paths=max_paths,
                     use_cache=use_cache,
                 )
-        except Exception as exc:
-            if isinstance(exc, PathDiscoveryError):
+            except Exception as exc:
+                if isinstance(exc, PathDiscoveryError):
+                    raise PathDiscoveryError(
+                        f"pair ({requester!r}, {provider!r}): {exc}"
+                    ) from exc
                 raise PathDiscoveryError(
-                    f"pair ({pair[0]!r}, {pair[1]!r}): {exc}"
+                    f"pair ({requester!r}, {provider!r}): discovery failed "
+                    f"with {type(exc).__name__}: {exc}"
                 ) from exc
-            raise PathDiscoveryError(
-                f"pair ({pair[0]!r}, {pair[1]!r}): discovery worker failed "
-                f"with {type(exc).__name__}: {exc}"
-            ) from exc
-
-    with tracer.span(
-        "engine.discover_many", pairs=len(unique), jobs=jobs or 1
-    ):
-        if jobs is not None and jobs > 1 and len(unique) > 1:
-            # Thread-local span stacks do not flow into pool workers, so
-            # capture the batch span here and re-attach it per worker.
-            parent = tracer.current()
-            with ThreadPoolExecutor(max_workers=jobs) as executor:
-                futures = {
-                    pair: executor.submit(run_one, pair, parent)
-                    for pair in unique
-                }
-                return {pair: futures[pair].result() for pair in unique}
-        return {pair: run_one(pair) for pair in unique}
+        return results
 
 
 # ---------------------------------------------------------------------------

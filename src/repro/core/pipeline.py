@@ -318,22 +318,15 @@ class MethodologyPipeline:
         *,
         max_depth: Optional[int] = None,
         max_paths: Optional[int] = None,
-        jobs: Optional[int] = None,
         shards: Optional[int] = None,
         resilience: Optional["ResiliencePolicy"] = None,
         kernel: Optional[str] = None,
     ) -> PipelineReport:
         """Execute the automated Steps 5–8, skipping up-to-date stages.
 
-        With ``jobs`` > 1, Step 7 fans the independent mapping pairs out
-        over a thread pool (:func:`repro.core.engine.discover_many`); the
-        serial default and the pair-keyed collection keep stored results
-        deterministically ordered either way.
-
         ``resilience`` switches failure semantics from strict (raise on
         the first failing stage or unreachable pair) to graceful
-        degradation — see the module docstring.  ``resilience.jobs``
-        overrides *jobs* when set.
+        degradation — see the module docstring.
 
         ``shards`` fans the optional Step-9 population evaluation out
         over shard worker processes (see :meth:`set_population`); it is
@@ -371,12 +364,10 @@ class MethodologyPipeline:
         report = PipelineReport()
         _M_RUNS.inc()
 
-        with _trace.span("pipeline.run", mode=mode, jobs=jobs or 1) as run_span:
+        with _trace.span("pipeline.run", mode=mode) as run_span:
             if resilience is None:
-                self._run_stages(
-                    report, max_depth, max_paths, jobs, None, kernel
-                )
-                self._run_population_stage(report, shards, jobs)
+                self._run_stages(report, max_depth, max_paths, None, kernel)
+                self._run_population_stage(report, shards)
                 report.upsim = self.upsim
                 run_span.set(executed=len(report.executed_stages()))
                 return report
@@ -385,12 +376,7 @@ class MethodologyPipeline:
             # recorded, its dependents are skipped, and the report returns
             try:
                 self._run_stages(
-                    report,
-                    max_depth,
-                    max_paths,
-                    jobs,
-                    resilience,
-                    kernel,
+                    report, max_depth, max_paths, resilience, kernel
                 )
             except ReproError as exc:
                 failed = (
@@ -419,7 +405,7 @@ class MethodologyPipeline:
                 # Step 9 only runs on a healthy Step 5-8 chain: a partial
                 # UPSIM means some positions are unreachable, and the
                 # population numbers would silently misrepresent them
-                self._run_population_stage(report, shards, jobs)
+                self._run_population_stage(report, shards)
             report.upsim = self.upsim
             run_span.set(
                 executed=len(report.executed_stages()), partial=report.partial
@@ -431,7 +417,6 @@ class MethodologyPipeline:
         report: PipelineReport,
         max_depth: Optional[int],
         max_paths: Optional[int],
-        jobs: Optional[int],
         resilience: Optional["ResiliencePolicy"],
         kernel: Optional[str] = None,
     ) -> None:
@@ -485,15 +470,10 @@ class MethodologyPipeline:
                         endpoint_pairs,
                         max_depth=max_depth,
                         max_paths=max_paths,
-                        jobs=jobs,
                     )
                 else:
                     from repro.resilience.runner import discover_many_resilient
 
-                    if resilience.jobs is None and jobs is not None:
-                        from dataclasses import replace
-
-                        resilience = replace(resilience, jobs=jobs)
                     outcome = discover_many_resilient(
                         topology,
                         endpoint_pairs,
@@ -558,7 +538,6 @@ class MethodologyPipeline:
         self,
         report: PipelineReport,
         shards: Optional[int],
-        jobs: Optional[int],
     ) -> None:
         """Optional Step 9: population-scale evaluation (see
         :meth:`set_population`).  A no-op when no population is attached;
@@ -592,7 +571,6 @@ class MethodologyPipeline:
                 factory,
                 self._population,
                 shards=shards,
-                jobs=jobs,
             )
             self._population_shards = shards
             self._dirty.discard(POPULATION_STAGE)

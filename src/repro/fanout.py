@@ -1,4 +1,4 @@
-"""Process fan-out: the one place this package starts worker processes.
+"""Worker fan-out: the one place this package starts workers.
 
 Both parallel planes — sharded population sweeps
 (:func:`repro.workload.sharding.evaluate_sharded`) and cold BDD compiles
@@ -16,20 +16,26 @@ can still be alive, so a threaded process never forks.
 Work is spread by :func:`balance`, a greedy longest-processing-time
 assignment, so one giant task cannot serialize the fan-out.
 
-This module and :mod:`multiprocessing` load only when a fan-out runs;
-``import repro.cli`` imports neither.
+The one worker *thread* is :func:`call_with_deadline`: the resilient
+runner's per-pair timeout and the live evaluator's recompute deadline
+run their attempt on a daemon thread the caller can abandon.  The thread
+re-attaches the caller's current span, so the spans it opens nest where
+an inline call's would.
+
+:mod:`multiprocessing` loads only when a process fan-out runs;
+``import repro.cli`` does not import it.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import AnalysisError
 from repro.obs import trace as _trace
 
-__all__ = ["balance", "start_method", "run"]
+__all__ = ["balance", "start_method", "run", "call_with_deadline"]
 
 
 def balance(costs: Sequence[int], workers: int) -> List[List[int]]:
@@ -102,3 +108,38 @@ def run(
                 worker.join()
     if failed:
         raise AnalysisError(f"{label} worker(s) failed: " + "; ".join(failed))
+
+
+def call_with_deadline(
+    work: Callable[[], Any], timeout: Optional[float]
+) -> Tuple[bool, Any, Optional[Exception]]:
+    """Run *work()* and return ``(finished, result, error)``.
+
+    With a *timeout* the call runs on a daemon thread that adopts the
+    caller's current span and is abandoned after *timeout* seconds
+    (``(False, None, None)``): the work has no cancellation point, so an
+    expired thread finishes in the background.  ``None`` runs it inline.
+    An exception raised by *work* is returned, not raised.
+    """
+    if timeout is None:
+        try:
+            return True, work(), None
+        except Exception as exc:  # noqa: BLE001 - diagnosed by the caller
+            return True, None, exc
+    tracer = _trace.get_tracer()
+    parent = tracer.current()
+    box: Dict[str, Any] = {}
+
+    def target() -> None:
+        with tracer.context(parent):
+            try:
+                box["result"] = work()
+            except Exception as exc:  # noqa: BLE001 - diagnosed by the caller
+                box["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    if thread.is_alive():
+        return False, None, None
+    return True, box.get("result"), box.get("error")

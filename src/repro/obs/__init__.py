@@ -5,7 +5,7 @@ discovery → UPSIM → dependability analysis); this package makes that
 chain observable without adding a single dependency:
 
 * :mod:`repro.obs.trace` — hierarchical spans with thread-safe context
-  propagation (``discover_many(jobs=N)`` workers nest correctly), JSON
+  propagation (deadline-worker spans nest under their caller), JSON
   trace files, and a tree renderer (the ``upsim obs`` subcommand);
 * :mod:`repro.obs.metrics` — counters / gauges / histograms with JSON,
   Prometheus-text and human-table exporters; the engine / BDD-kernel
@@ -20,7 +20,7 @@ cost a method call when disabled.  Enable it per scope::
 
     tracer = obs.Tracer()
     with obs.activate(tracer):
-        report = pipeline.run(jobs=4)
+        report = pipeline.run()
     tracer.save("trace.json")
     print(obs.render(tracer))
     print(obs.registry().to_prometheus())

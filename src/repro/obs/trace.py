@@ -3,11 +3,12 @@
 A :class:`Span` records one timed operation (name, attributes, wall time,
 children); a :class:`Tracer` collects spans into trees.  The current span
 is tracked **per thread**, so nested ``with tracer.span(...)`` blocks
-build the tree automatically on any single thread; code that fans work
-out over a thread pool (``discover_many(jobs=N)``, campaign workers)
-captures :meth:`Tracer.current` in the submitting thread and re-attaches
-it on the worker with :meth:`Tracer.context`, so cross-thread children
-nest under the right parent.
+build the tree automatically on any single thread; code that hands work
+to another thread (the deadline worker of
+:func:`repro.fanout.call_with_deadline`) captures :meth:`Tracer.current`
+in the calling thread and re-attaches it on the worker with
+:meth:`Tracer.context`, so cross-thread children nest under the right
+parent.
 
 The module-global *active tracer* defaults to :data:`NOOP_TRACER`, whose
 ``span()`` hands back one shared, do-nothing context manager — tracing

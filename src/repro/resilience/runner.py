@@ -29,15 +29,14 @@ Mechanics, governed by a :class:`ResiliencePolicy`:
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import AbstractSet, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.engine import discover
 from repro.core.pathdiscovery import PathSet
 from repro.errors import PathDiscoveryTimeout
+from repro.fanout import call_with_deadline
 from repro.network.topology import Topology
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
@@ -80,14 +79,11 @@ class ResiliencePolicy:
         deterministic unreachability are never retried).
     ``backoff``
         Base sleep before retry *n* (seconds, doubled each retry).
-    ``jobs``
-        Fan-out width across pairs (``None``/1 = sequential).
     """
 
     pair_timeout: Optional[float] = 30.0
     retries: int = 1
     backoff: float = 0.05
-    jobs: Optional[int] = None
 
     def __post_init__(self):
         if self.pair_timeout is not None and self.pair_timeout <= 0:
@@ -96,8 +92,6 @@ class ResiliencePolicy:
             raise ValueError("retries must be >= 0")
         if self.backoff < 0:
             raise ValueError("backoff must be >= 0")
-        if self.jobs is not None and self.jobs < 1:
-            raise ValueError("jobs must be >= 1 or None")
 
 
 @dataclass(frozen=True)
@@ -220,34 +214,6 @@ def _nearest_cut(
     return tuple(sorted(found))
 
 
-def _attempt_with_deadline(run, timeout: Optional[float]):
-    """Run *run()* on a dedicated thread, abandoning it after *timeout*.
-
-    Returns ``(finished, result, exception)``.  The DFS has no
-    cancellation point, so an expired attempt's thread is left to finish
-    in the background (daemonized; at worst it warms the PathSet cache).
-    """
-    if timeout is None:
-        try:
-            return True, run(), None
-        except Exception as exc:  # noqa: BLE001 - diagnosed by the caller
-            return True, None, exc
-    box: Dict[str, object] = {}
-
-    def target() -> None:
-        try:
-            box["result"] = run()
-        except Exception as exc:  # noqa: BLE001 - diagnosed by the caller
-            box["error"] = exc
-
-    thread = threading.Thread(target=target, daemon=True)
-    thread.start()
-    thread.join(timeout)
-    if thread.is_alive():
-        return False, None, None
-    return True, box.get("result"), box.get("error")
-
-
 def discover_many_resilient(
     topology: Topology,
     pairs: Iterable[Tuple[str, str]],
@@ -259,8 +225,8 @@ def discover_many_resilient(
     """Discover paths for many pairs, degrading instead of raising.
 
     Duplicate pairs are processed once; the outcome's diagnostics list
-    carries exactly one entry per distinct pair in first-seen order, so
-    reports are deterministic regardless of ``policy.jobs``.
+    carries exactly one entry per distinct pair in first-seen order, and
+    its path sets follow the same order.
     """
     policy = policy or ResiliencePolicy()
     unique = list(dict.fromkeys(tuple(p) for p in pairs))
@@ -307,7 +273,7 @@ def discover_many_resilient(
         attempts = policy.retries + 1
         last_error: Optional[Exception] = None
         for attempt in range(1, attempts + 1):
-            finished, result, error = _attempt_with_deadline(
+            finished, result, error = call_with_deadline(
                 lambda: discover(
                     topology,
                     requester,
@@ -360,38 +326,12 @@ def discover_many_resilient(
         )
 
     outcome = DiscoveryOutcome()
-    jobs = policy.jobs
-    tracer = _trace.get_tracer()
-
-    def traced_pair(pair: Tuple[str, str], parent=None) -> PairDiagnostic:
-        with tracer.context(parent):
-            with tracer.span(
+    with _trace.span("resilience.discover_many", pairs=len(unique)):
+        for pair in unique:
+            with _trace.span(
                 "resilience.pair", requester=pair[0], provider=pair[1]
             ) as span:
                 diag = run_pair(pair)
                 span.set(status=diag.status, attempts=diag.attempts)
-                return diag
-
-    with tracer.span(
-        "resilience.discover_many", pairs=len(unique), jobs=jobs or 1
-    ):
-        if jobs is not None and jobs > 1 and len(unique) > 1:
-            # capture the batch span: worker threads have empty span stacks
-            parent = tracer.current()
-            with ThreadPoolExecutor(max_workers=jobs) as executor:
-                futures = {
-                    pair: executor.submit(traced_pair, pair, parent)
-                    for pair in unique
-                }
-                results = {pair: futures[pair].result() for pair in unique}
-        else:
-            results = {pair: traced_pair(pair) for pair in unique}
-    # rebuild stores in first-seen order (workers may finish out of order)
-    ordered_sets = {
-        pair: outcome.path_sets[pair]
-        for pair in unique
-        if pair in outcome.path_sets
-    }
-    outcome.path_sets = ordered_sets
-    outcome.diagnostics = [results[pair] for pair in unique]
+            outcome.diagnostics.append(diag)
     return outcome

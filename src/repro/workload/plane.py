@@ -228,7 +228,6 @@ def _kernels_for_attachments(
     attachments: Sequence[str],
     *,
     include_links: bool,
-    jobs: Optional[int],
 ) -> Dict[str, AvailabilityKernel]:
     """One compiled kernel per attachment (the structure-dedup level).
 
@@ -251,7 +250,7 @@ def _kernels_for_attachments(
         per_attachment_pairs[attachment] = list(seen.values())
         all_pairs.extend(seen.values())
 
-    discovered = discover_many(topology, all_pairs, jobs=jobs)
+    discovered = discover_many(topology, all_pairs)
 
     structures: List[List[List[FrozenSet[str]]]] = []
     orders: List[Tuple[str, ...]] = []
@@ -321,7 +320,6 @@ def evaluate_population(
     formula: str = "paper",
     dimension: str = "availability",
     shards: Optional[int] = None,
-    jobs: Optional[int] = None,
     batch_rows: int = 65536,
     top: int = 5,
 ) -> PopulationReport:
@@ -363,7 +361,6 @@ def evaluate_population(
                 mapping_for,
                 attachments,
                 include_links=include_links,
-                jobs=jobs,
             )
 
         # Row dedup per key: one perturbed sweep over the distinct
@@ -476,7 +473,6 @@ def evaluate_population_naive(
         mapping_for,
         attachments,
         include_links=include_links,
-        jobs=None,
     )
     availability = np.empty(population.n_users, dtype=np.float64)
     for user in range(population.n_users):

@@ -164,3 +164,35 @@ class TestKernelEquivalence:
     def test_unknown_kernel_rejected(self, upsim_t1_p2):
         with pytest.raises(AnalysisError, match="unknown availability kernel"):
             analyze_upsim(upsim_t1_p2, kernel="magic")
+
+
+
+class TestEnumBound:
+    def test_enum_beyond_bound_raises(self):
+        """``kernel="enum"`` raises the typed bound error instead of
+        reporting a Monte-Carlo estimate.  A 14-switch chain serves two
+        13-component pairs: each pair is within the bound, their
+        26-component union is not."""
+        from repro.core import ServiceMapping, ServiceMappingPair, generate_upsim
+        from repro.network import DeviceSpec, TopologyBuilder
+        from repro.services import AtomicService, CompositeService
+
+        builder = TopologyBuilder("chain")
+        builder.device_type(DeviceSpec("Sw", "Switch", mtbf=10_000.0, mttr=5.0))
+        names = [f"n{i}" for i in range(14)]
+        for name in names:
+            builder.add(name, "Sw")
+        for a, b in zip(names, names[1:]):
+            builder.connect(a, b)
+        service = CompositeService.sequential(
+            "svc", [AtomicService("left"), AtomicService("right")]
+        )
+        mapping = ServiceMapping(
+            [
+                ServiceMappingPair("left", "n0", "n6"),
+                ServiceMappingPair("right", "n7", "n13"),
+            ]
+        )
+        upsim = generate_upsim(builder.build(validate=False), service, mapping)
+        with pytest.raises(AnalysisError, match="22-component bound"):
+            analyze_upsim(upsim, kernel="enum")

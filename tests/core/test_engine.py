@@ -220,25 +220,10 @@ class TestMemoization:
 class TestDiscoverMany:
     PAIRS = [("t1", "printS"), ("p2", "printS"), ("t1", "printS")]
 
-    def test_serial_equals_parallel(self, usi_topo):
-        serial = discover_many(usi_topo, self.PAIRS, jobs=1, use_cache=False)
-        path_cache_clear()
-        parallel = discover_many(usi_topo, self.PAIRS, jobs=4, use_cache=False)
-        assert list(serial) == list(parallel)
-        for key in serial:
-            assert serial[key].paths == parallel[key].paths
-
     def test_duplicate_pairs_enumerate_once(self, usi_topo):
         reset_engine_stats()
         discover_many(usi_topo, self.PAIRS, use_cache=False)
         assert engine_stats()["enumerations"] == 2  # two unique pairs
-
-    @pytest.mark.parametrize("jobs", [0, -1, -8])
-    def test_jobs_below_one_raises(self, usi_topo, jobs):
-        """jobs=0 silently meant serial before; now it is rejected with a
-        message that names the fix (omit it / pass None)."""
-        with pytest.raises(PathDiscoveryError, match="jobs must be >= 1"):
-            discover_many(usi_topo, self.PAIRS, jobs=jobs)
 
 
 class TestPipelineSingleEnumeration:
@@ -287,7 +272,7 @@ class TestPipelineSingleEnumeration:
             .set_infrastructure(usi)
             .set_service(printing)
             .set_mapping(table1)
-            .run(jobs=4)
+            .run()
         )
         assert serial.upsim is not None and threaded.upsim is not None
         assert (

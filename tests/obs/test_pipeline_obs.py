@@ -64,7 +64,7 @@ class TestStageSpans:
     def test_engine_spans_nest_under_discover_stage(self, pipeline):
         tracer = Tracer()
         with activate(tracer):
-            pipeline.run(jobs=2)
+            pipeline.run()
         stage = tracer.find("pipeline.discover_paths")[0]
         batches = [
             c for c in stage.children if c.name == "engine.discover_many"

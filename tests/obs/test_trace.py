@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from repro.core import engine
 from repro.core.engine import discover_many
 from repro.obs import trace as _trace
 from repro.obs.trace import (
@@ -106,20 +107,21 @@ class TestCrossThread:
                 pass
         assert [r.name for r in tracer.roots] == ["orphan"]
 
-    def test_discover_many_jobs_nest_under_batch_span(self, diamond_topo):
-        """Engine fan-out (jobs>1) parents per-pair spans correctly."""
+    def test_discover_many_cold_compile_nests_under_batch_span(
+        self, diamond_topo
+    ):
+        """A cold compile and every per-pair span nest under the batch."""
+        engine._COMPILED.clear()
+        engine.path_cache_clear()
         pairs = [("pc", "s"), ("pc", "a"), ("pc", "b"), ("e", "s")]
         tracer = Tracer()
         with activate(tracer):
-            discover_many(diamond_topo, pairs, jobs=2, use_cache=False)
-        batches = tracer.find("engine.discover_many")
-        assert len(batches) == 1
-        batch = batches[0]
-        assert batch.attrs["jobs"] == 2
+            discover_many(diamond_topo, pairs, use_cache=False)
+        assert [r.name for r in tracer.roots] == ["engine.discover_many"]
+        batch = tracer.roots[0]
         per_pair = [c for c in batch.children if c.name == "engine.discover"]
         assert len(per_pair) == len(pairs)
-        # no per-pair span escaped to the root level
-        assert [r.name for r in tracer.roots] == ["engine.discover_many"]
+        assert len(tracer.find("engine.compile")) == 1
 
     def test_concurrent_unrelated_threads_keep_separate_roots(self):
         tracer = Tracer()

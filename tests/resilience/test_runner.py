@@ -30,7 +30,6 @@ class TestPolicy:
             {"pair_timeout": 0.0},
             {"retries": -1},
             {"backoff": -0.1},
-            {"jobs": 0},
         ],
     )
     def test_validation(self, kwargs):
@@ -96,16 +95,6 @@ class TestResilientDiscovery:
             usi_topo, [("t1", "printS"), ("t1", "printS")]
         )
         assert len(outcome.diagnostics) == 1
-
-    def test_parallel_matches_serial(self, usi_topo):
-        serial = discover_many_resilient(usi_topo, PAIRS)
-        parallel = discover_many_resilient(
-            usi_topo, PAIRS, policy=ResiliencePolicy(jobs=4)
-        )
-        assert [d.to_dict() for d in serial.diagnostics] == [
-            d.to_dict() for d in parallel.diagnostics
-        ]
-        assert list(serial.path_sets) == list(parallel.path_sets)
 
     def test_to_dict_is_deterministic(self, usi_topo):
         overlay = FaultPlan.parse("crash:e3").apply(usi_topo)

@@ -74,7 +74,7 @@ class TestCasestudy:
 
     @pytest.mark.parametrize(
         ("flags", "code"),
-        [(["--jobs", "-2"], 11), (["--service", "ghost"], 2)],
+        [(["--service", "ghost"], 2)],
     )
     def test_bad_option_exit_codes(self, flags, code, capsys):
         assert main(["casestudy", *flags]) == code

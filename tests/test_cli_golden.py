@@ -40,7 +40,6 @@ CASES = [
         ["--inject", "crash:e3", "--service", "request_printing"],
     ),
     ("casestudy_dimensions", ["--dimensions", "availability,cost"]),
-    ("casestudy_jobs2", ["--jobs", "2"]),
     ("casestudy_mc200", ["--mc", "200"]),
 ]
 

@@ -53,11 +53,3 @@ class TestPopulationCommand:
         assert main(["population", "--users", "0"]) == 12
         assert "error:" in capsys.readouterr().err
 
-    def test_jobs_below_one_maps_to_path_discovery_error(self, capsys):
-        assert main(["population", "--users", "50", "--jobs", "0"]) == 11
-        err = capsys.readouterr().err
-        assert "jobs must be >= 1" in err
-
-    def test_casestudy_jobs_below_one_same_exit_code(self, capsys):
-        assert main(["casestudy", "--jobs", "-2"]) == 11
-        assert "jobs must be >= 1" in capsys.readouterr().err

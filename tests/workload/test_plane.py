@@ -7,7 +7,7 @@ import pytest
 
 from repro.casestudy import CLIENTS, printing_mapping
 from repro.core import ServiceMapping, ServiceMappingPair
-from repro.errors import AnalysisError, PathDiscoveryError
+from repro.errors import AnalysisError
 from repro.network import Topology
 from repro.network.generators import campus, ring
 from repro.services import AtomicService, CompositeService
@@ -118,10 +118,6 @@ class TestReport:
         with pytest.raises(AnalysisError, match="batch_rows must be >= 1"):
             evaluate_population(
                 usi_topo, printing, usi_mapping, population, batch_rows=0
-            )
-        with pytest.raises(PathDiscoveryError, match="jobs must be >= 1"):
-            evaluate_population(
-                usi_topo, printing, usi_mapping, population, jobs=0
             )
 
 

@@ -228,7 +228,6 @@ def _collect_tasks(usi_topo, printing, population):
         usi_mapping,
         attachments,
         include_links=True,
-        jobs=None,
     )
     tasks = []
     rows = []
