@@ -3,15 +3,12 @@
 
 The plane (`repro.workload`) must make per-user availability for whole
 populations cheap: users sharing an (attachment, service) key collapse
-to one compiled structure, duplicate device-availability annotations
-dedup to unique rows, and the batched perturbed sweep replaces the
-per-user Python loop.  Floors:
+to one compiled structure, each structure is expanded once on the
+user's device (root with the device at 0 and at 1), and one numpy
+multiply-add replaces the per-user Python loop.  Floors:
 
 * vectorized plane ≥50× the scalar per-user oracle at 100k users;
-* the 1M-user campus sweep completes in seconds (hard ceiling below);
-* the sharded path (worker processes over artifact files) beats
-  single-core at ≥4 shards on ≥100k users (skipped on boxes with
-  <4 CPUs).
+* the 1M-user campus sweep completes in seconds (hard ceiling below).
 
 CI runs only the ≤10k-user smoke; export ``REPRO_BENCH_FULL=1`` for the
 100k/1M sweeps.  Record a baseline with::
@@ -175,29 +172,3 @@ def test_population_1m_campus(benchmark, campus_plane):
     assert report.keys == len(clients)
     assert report.seconds < SWEEP_1M_CEILING_SECONDS
 
-
-@needs_full
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 4, reason="shard floor needs >= 4 CPUs"
-)
-def test_population_sharded_beats_single(benchmark, campus_plane):
-    """≥4 shard worker processes beat the single-process batched path on a
-    ≥100k-user campus population."""
-    topology, service, mapping_for, clients = campus_plane
-    population = Population.generate(200_000, CLASSES, clients, seed=7)
-
-    def single():
-        return evaluate_population(topology, service, mapping_for, population)
-
-    def sharded():
-        return evaluate_population(
-            topology, service, mapping_for, population, shards=4
-        )
-
-    report = benchmark(sharded)
-    assert report.shards == 4
-    assert float(
-        np.max(np.abs(report.availability - single().availability))
-    ) == 0.0
-
-    assert _best(single) / _best(sharded) > 1.0

@@ -24,7 +24,7 @@ Subcommands::
         Fault-injection campaign over the case-study service: sweep
         single- and k-fault combinations, rank by user-perceived impact.
 
-    upsim population [--users N] [--classes SPEC] [--shards K]
+    upsim population [--users N] [--classes SPEC] [--top N]
         Population-scale evaluation of the case-study printing service:
         generate N simulated users over the client positions, evaluate
         per-user availability through the vectorized plane, and print
@@ -311,12 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help="user classes as NAME[:WEIGHT[:DEVICE_A[:JITTER]]],... "
         "(default: %(default)s)",
-    )
-    population.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="shard worker processes (default: single-process batching)",
     )
     population.add_argument("--printer", default="p2")
     population.add_argument("--server", default="printS")
@@ -676,14 +670,9 @@ def cmd_population(args: argparse.Namespace) -> int:
         printing_service(),
         lambda client: printing_mapping(client, args.printer, args.server),
         population,
-        shards=args.shards,
         top=args.top,
     )
     print(report.to_text())
-    if report.shards:
-        timings = ", ".join(f"{s:.3f}s" for s in report.shard_seconds)
-        print()
-        print(f"shard timings: {timings}")
     return 0
 
 

@@ -197,7 +197,6 @@ class MethodologyPipeline:
         self._population: Optional["Population"] = None
         self._user_component: Optional[str] = None
         self._population_report: Optional["_PopulationReport"] = None
-        self._population_shards: Optional[int] = None
         self.space: Optional[ModelSpace] = None
         self.upsim: Optional[UPSIM] = None
 
@@ -318,7 +317,6 @@ class MethodologyPipeline:
         *,
         max_depth: Optional[int] = None,
         max_paths: Optional[int] = None,
-        shards: Optional[int] = None,
         resilience: Optional["ResiliencePolicy"] = None,
         kernel: Optional[str] = None,
     ) -> PipelineReport:
@@ -327,10 +325,6 @@ class MethodologyPipeline:
         ``resilience`` switches failure semantics from strict (raise on
         the first failing stage or unreachable pair) to graceful
         degradation — see the module docstring.
-
-        ``shards`` fans the optional Step-9 population evaluation out
-        over shard worker processes (see :meth:`set_population`); it is
-        ignored when no population is attached.
 
         ``kernel`` (``"bdd"``/``"ie"``/``"enum"``) pre-selects the
         availability evaluator for the analysis that follows Step 8:
@@ -367,7 +361,7 @@ class MethodologyPipeline:
         with _trace.span("pipeline.run", mode=mode) as run_span:
             if resilience is None:
                 self._run_stages(report, max_depth, max_paths, None, kernel)
-                self._run_population_stage(report, shards)
+                self._run_population_stage(report)
                 report.upsim = self.upsim
                 run_span.set(executed=len(report.executed_stages()))
                 return report
@@ -405,7 +399,7 @@ class MethodologyPipeline:
                 # Step 9 only runs on a healthy Step 5-8 chain: a partial
                 # UPSIM means some positions are unreachable, and the
                 # population numbers would silently misrepresent them
-                self._run_population_stage(report, shards)
+                self._run_population_stage(report)
             report.upsim = self.upsim
             run_span.set(
                 executed=len(report.executed_stages()), partial=report.partial
@@ -534,16 +528,10 @@ class MethodologyPipeline:
                 # free when an earlier run already compiled the structure)
                 self._warm_kernel(kernel, resilient=resilience is not None)
 
-    def _run_population_stage(
-        self,
-        report: PipelineReport,
-        shards: Optional[int],
-    ) -> None:
+    def _run_population_stage(self, report: PipelineReport) -> None:
         """Optional Step 9: population-scale evaluation (see
         :meth:`set_population`).  A no-op when no population is attached;
         otherwise executes or reuses like any other incremental stage.
-        A ``shards`` value different from the cached run's re-executes
-        (the numbers agree, but the recorded shard timings would lie).
         """
         if self._population is None:
             return
@@ -551,7 +539,6 @@ class MethodologyPipeline:
         if (
             POPULATION_STAGE not in self._dirty
             and self._population_report is not None
-            and self._population_shards == shards
         ):
             _reused_stage(report, POPULATION_STAGE)
             report.population = self._population_report
@@ -570,9 +557,7 @@ class MethodologyPipeline:
                 self._service,
                 factory,
                 self._population,
-                shards=shards,
             )
-            self._population_shards = shards
             self._dirty.discard(POPULATION_STAGE)
             if entry.span is not None:
                 entry.span.set(

@@ -71,7 +71,6 @@ __all__ = [
     "BDD",
     "AvailabilityKernel",
     "IncrementalAvailabilityKernel",
-    "evaluate_perturbed_arrays",
     "compile_structure",
     "compile_many",
     "compile_pair",
@@ -820,8 +819,8 @@ class AvailabilityKernel:
         self._var_ix = self._np_var.tolist()
         self._low_pos = self._np_low.tolist()
         self._high_pos = self._np_high.tolist()
-        # frozen: these views are shared with shard workers, cached across
-        # callers, and (for store-loaded kernels) mmap-backed — a caller
+        # frozen: these views are cached across callers and (for
+        # store-loaded kernels) mmap-backed — a caller
         # mutating them in place would silently corrupt every consumer
         self._np_var.flags.writeable = False
         self._np_low.flags.writeable = False
@@ -1049,8 +1048,7 @@ class AvailabilityKernel:
 
     def flat_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         """The linearized DAG as ``(var, low, high, root_pos)`` numpy
-        arrays — the shape the sharding plane ships to workers and the
-        artifact store persists (see :mod:`repro.workload.sharding` and
+        arrays — the shape the artifact store persists (see
         :mod:`repro.store`).  ``var`` indexes :attr:`variables`;
         ``low``/``high`` are positions in the evaluation array (0/1 are
         the FALSE/TRUE terminals, interior node *i* lives at position
@@ -1070,13 +1068,12 @@ class AvailabilityKernel:
         """System availability when every variable holds its *base*
         probability except variable *var*, which sweeps over *values*.
 
-        The population evaluation plane's workhorse: users sharing one
-        attachment point and service differ only in the availability of
-        their own access device, so the k distinct per-user annotations
-        collapse to one scalar base vector plus a k-vector at a single
-        decision variable.  Memory is O(k · nodes-above-*var*) instead of
-        the (k, n_variables) annotation matrix :meth:`evaluate_many`
-        needs, and the sweep is chunked at *batch_rows* rows.
+        The population evaluation plane sweeps the user's access device
+        over ``(0, 1)`` with it.  Memory is O(k · nodes-above-*var*)
+        instead of the (k, n_variables) annotation matrix
+        :meth:`evaluate_many` needs, and the sweep is chunked at
+        *batch_rows* rows; *out* (when given) receives the results in
+        place.
         """
         base = np.asarray(base, dtype=np.float64)
         if base.ndim != 1 or base.shape[0] != len(self.variables):
@@ -1094,18 +1091,19 @@ class AvailabilityKernel:
             raise AnalysisError(
                 f"perturbed values must be a 1-D array, got shape {values.shape}"
             )
+        if batch_rows < 1:
+            raise AnalysisError(f"batch_rows must be >= 1, got {batch_rows}")
+        out = _out_buffer(out, len(values))
         _count_evaluation(len(values))
-        return evaluate_perturbed_arrays(
-            self._np_var,
-            self._np_low,
-            self._np_high,
-            self._root_pos,
-            base,
-            var,
-            values,
-            batch_rows=batch_rows,
-            out=out,
-        )
+        rows: List[object] = base.tolist()
+        for start in range(0, len(values), batch_rows):
+            stop = start + batch_rows
+            rows[var] = values[start:stop]
+            # a root the perturbed variable never reaches is a float: broadcast
+            out[start:stop] = _sweep(
+                self._var_ix, self._low_pos, self._high_pos, rows
+            )[self._root_pos]
+        return out
 
     # -- importance -----------------------------------------------------------
 
@@ -1224,7 +1222,7 @@ def _sweep(
 
     This is the **only** forward evaluation loop: every route runs the
     identical per-node arithmetic in the same operand order, so scalar,
-    batch, group, perturbed and shard-worker results agree bit for bit.
+    batch, group and perturbed results agree bit for bit.
     """
     values: List[object] = [0.0, 1.0]
     append = values.append
@@ -1245,39 +1243,6 @@ def _out_buffer(out: Optional[np.ndarray], k: int) -> np.ndarray:
         or out.dtype != np.float64
     ):
         raise AnalysisError(f"out must be a float64 array of shape ({k},)")
-    return out
-
-
-def evaluate_perturbed_arrays(
-    var_ix: np.ndarray,
-    low: np.ndarray,
-    high: np.ndarray,
-    root_pos: int,
-    base: np.ndarray,
-    var: int,
-    values: np.ndarray,
-    *,
-    batch_rows: int = 65536,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """System availability when every variable holds its *base*
-    probability except *var*, which sweeps over *values* — chunked at
-    *batch_rows* rows over raw linearized-DAG arrays.
-
-    Operates purely on arrays (no kernel object), so shard workers can
-    call it directly on arrays mapped from artifact files; *out* (when
-    given) receives the results in place.
-    """
-    if batch_rows < 1:
-        raise AnalysisError(f"batch_rows must be >= 1, got {batch_rows}")
-    out = _out_buffer(out, len(values))
-    var_ix, low, high = (np.asarray(a).tolist() for a in (var_ix, low, high))
-    rows: List[object] = np.asarray(base, dtype=np.float64).tolist()
-    for start in range(0, len(values), batch_rows):
-        stop = start + batch_rows
-        rows[var] = values[start:stop]
-        # a root the perturbed variable never reaches is a float: broadcast
-        out[start:stop] = _sweep(var_ix, low, high, rows)[root_pos]
     return out
 
 

@@ -1,8 +1,7 @@
 """Worker fan-out: the one place this package starts workers.
 
-Both parallel planes — sharded population sweeps
-(:func:`repro.workload.sharding.evaluate_sharded`) and cold BDD compiles
-(:func:`repro.dependability.bdd.compile_many`) — hand their work to
+The one process plane — cold BDD compiles
+(:func:`repro.dependability.bdd.compile_many`) — hands its work to
 :func:`run`.  Workers receive only picklable arguments (paths, names,
 small tuples) and move every array through :mod:`repro.store` artifact
 files, so the same worker body runs under every start method.

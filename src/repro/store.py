@@ -12,7 +12,7 @@ future service deploy — skips recompilation entirely:
   key the in-process LRUs use, so the store is a transparent second
   cache tier underneath them;
 * writes are atomic (``tmp`` file + :func:`os.replace`) and serialized
-  by an advisory file lock, so concurrent writers — shard workers,
+  by an advisory file lock, so concurrent writers — compile workers,
   parallel CLI runs — can race on the same object without ever exposing
   a half-written file;
 * every container carries a payload digest that is verified on open; a
@@ -331,8 +331,8 @@ def write_artifact_file(
     digest: bool = True,
 ) -> int:
     """Write one container to an explicit *path* (atomic within its
-    directory); returns the byte size.  The sharding plane uses this for
-    its scratch artifacts — no :class:`ArtifactStore` needed.
+    directory); returns the byte size — no :class:`ArtifactStore`
+    needed.
 
     ``digest=False`` records an all-zero payload digest instead of
     hashing the payload, for files that live only as long as one call

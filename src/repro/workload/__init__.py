@@ -8,12 +8,9 @@ pair at a time; this package serves whole user *populations*:
   mobility) distributed over attachment locations of the infrastructure;
 * :mod:`repro.workload.plane` — the numpy-vectorized evaluation plane:
   users sharing an attachment point and service collapse to one compiled
-  structure query, distinct annotation rows batch through the BDD
-  kernel's vectorized sweep, and results scatter back per user;
-* :mod:`repro.workload.sharding` — multicore sharding: key-groups fan
-  out over worker processes (:mod:`repro.fanout`) that evaluate the
-  flattened BDD node arrays mapped from artifact files, without
-  re-compiling or pickling any kernel.
+  structure query, each query is expanded once on the user's device
+  (root with the device at 0 and at 1), and every user's availability is
+  one multiply-add on those two values.
 
 Quick start::
 
@@ -48,7 +45,6 @@ from repro.workload.plane import (
     evaluate_population,
     evaluate_population_naive,
 )
-from repro.workload.sharding import sharding_supported
 
 __all__ = [
     "UserClass",
@@ -60,5 +56,4 @@ __all__ = [
     "PopulationReport",
     "evaluate_population",
     "evaluate_population_naive",
-    "sharding_supported",
 ]

@@ -1,7 +1,8 @@
-"""The vectorized population evaluation plane: dedup → batch → shard.
+"""The vectorized population evaluation plane: one kernel per attachment,
+one multiply-add per user.
 
 ``evaluate_population`` turns "availability as perceived by each of a
-million users" into a handful of numpy sweeps:
+million users" into a few numpy passes:
 
 1. **Structure dedup** — users sharing an attachment point and service
    collapse to one compiled structure query: per distinct attachment the
@@ -9,41 +10,40 @@ million users" into a handful of numpy sweeps:
    engine's PathSet LRU shares the pairs that do not involve the user
    across attachments), and the path-set groups compile into one memoized
    :class:`~repro.dependability.bdd.AvailabilityKernel`.
-2. **Row dedup + batch** — within an attachment group the only per-user
-   annotation is the availability of the user's own access device
-   (class override × jitter), so ``np.unique`` collapses the group to its
-   distinct annotation rows and one
+2. **Shannon expansion on the device** — within an attachment group the
+   only per-user annotation is the availability ``d`` of the user's own
+   access device (class override × jitter).  Components are independent,
+   so the system availability is linear in each component's
+   availability: ``A(d) = A0 + d · (A1 − A0)``, where ``A0``/``A1`` are
+   the kernel's root with the device held at 0 and at 1.  One two-value
    :meth:`~repro.dependability.bdd.AvailabilityKernel.evaluate_perturbed`
-   sweep evaluates them all, chunked over contiguous numpy arrays.
-3. **Shard** — when ``shards > 1`` the per-key batches fan out across
-   worker processes that map flattened BDD node arrays from artifact
-   files (:mod:`repro.workload.sharding`) — no kernel is re-compiled or
-   pickled.
+   sweep per attachment yields ``(A0, A1)``; every user is then one
+   gather and one multiply-add over the population's attachment index.
 
 ``evaluate_population_naive`` is the honest scalar oracle: a Python loop
 over users, one availability table and one
 :meth:`~repro.dependability.bdd.AvailabilityKernel.availability` call
 each (kernels still reused per attachment — the baseline is "no
-vectorization", not "no engine").  Both paths perform the same IEEE
-double arithmetic, so they agree to the last bit; the equivalence tests
-assert 1e-12.
+vectorization", not "no engine").  The plane evaluates the same
+polynomial in a different operation order, so the two agree to 1e-12;
+the equivalence tests assert that bound.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.transformations import pair_path_sets
-from repro.core.engine import discover_many
+from repro.core.engine import compile_topology, discover_many
 from repro.core.mapping import ServiceMapping
 from repro.dependability.bdd import (
     AvailabilityKernel,
     compile_many,
-    order_from_topology,
+    order_from_compiled,
 )
 from repro.errors import AnalysisError
 from repro.network.topology import Topology
@@ -66,19 +66,11 @@ _M_USERS = _metrics.counter(
 )
 _M_ROWS = _metrics.counter(
     "repro_workload_rows_evaluated_total",
-    "Deduplicated annotation rows actually swept through BDD kernels",
+    "Kernel rows swept by the population plane (device at 0 and at 1)",
 )
 _M_DEDUP = _metrics.gauge(
     "repro_workload_dedup_ratio",
-    "users / deduplicated rows of the most recent population evaluation",
-)
-_M_BATCH_ROWS = _metrics.histogram(
-    "repro_workload_batch_rows",
-    "Deduplicated rows per (attachment, service) key batch",
-)
-_M_SHARD_SECONDS = _metrics.histogram(
-    "repro_workload_shard_seconds",
-    "Wall time of each shard worker",
+    "users / kernel rows swept of the most recent population evaluation",
 )
 
 
@@ -125,15 +117,12 @@ class PopulationReport:
     availability: np.ndarray
     #: distinct (attachment, service) keys evaluated
     keys: int
-    #: deduplicated annotation rows swept through the kernels
+    #: kernel rows swept: two (device at 0 and at 1) per key whose
+    #: device is in the service structure
     rows: int
-    #: shard workers used (0 = single-process batching)
-    shards: int
     #: registered dimension the per-user values belong to
     #: (availability-shaped: mode ``bdd-prob``, ``prob_rule="root"``)
     dimension: str = "availability"
-    #: wall seconds per shard (empty when unsharded)
-    shard_seconds: List[float] = field(default_factory=list)
     class_summaries: List[ClassSummary] = field(default_factory=list)
     worst: List[WorstUser] = field(default_factory=list)
     seconds: float = 0.0
@@ -144,18 +133,14 @@ class PopulationReport:
 
     @property
     def dedup_ratio(self) -> float:
+        """Users per kernel row swept."""
         return self.n_users / self.rows if self.rows else float(self.n_users)
 
     def to_text(self) -> str:
         lines = [
             f"population: {self.n_users} users over {self.keys} "
-            f"attachment key(s); {self.rows} deduplicated row(s) "
-            f"(dedup {self.dedup_ratio:.1f}x); "
-            + (
-                f"{self.shards} shard(s)"
-                if self.shards
-                else "single-process batching"
-            )
+            f"attachment key(s); {self.rows} kernel row(s) swept "
+            f"({self.dedup_ratio:.1f} users/row)"
             + (
                 f"; dimension {self.dimension}"
                 if self.dimension != "availability"
@@ -252,6 +237,7 @@ def _kernels_for_attachments(
 
     discovered = discover_many(topology, all_pairs)
 
+    compiled_topology = compile_topology(topology)
     structures: List[List[List[FrozenSet[str]]]] = []
     orders: List[Tuple[str, ...]] = []
     for attachment in attachments:
@@ -261,7 +247,7 @@ def _kernels_for_attachments(
         ]
         components = {c for group in groups for path in group for c in path}
         structures.append(groups)
-        orders.append(order_from_topology(topology, components))
+        orders.append(order_from_compiled(compiled_topology, components))
     compiled = compile_many(structures, orders=orders)
     return dict(zip(attachments, compiled))
 
@@ -319,8 +305,6 @@ def evaluate_population(
     include_links: bool = True,
     formula: str = "paper",
     dimension: str = "availability",
-    shards: Optional[int] = None,
-    batch_rows: int = 65536,
     top: int = 5,
 ) -> PopulationReport:
     """Per-user availability for a whole population, vectorized.
@@ -330,29 +314,24 @@ def evaluate_population(
     :func:`repro.workload.mapping_for_user`).  *dimension* names any
     registered availability-shaped dimension (mode ``"bdd-prob"`` with
     ``prob_rule="root"``) from :mod:`repro.dimensions`; its annotation
-    table replaces Formula 1 while the dedup/batch/shard machinery is
-    reused unchanged.  ``shards`` > 1 fans the per-key batches out over
-    worker processes when the platform can start them
-    (:func:`repro.workload.sharding.sharding_supported`); otherwise the
-    single-process batched path runs.  ``top`` sizes the
-    worst-served-user drilldown.
+    table replaces Formula 1 and the per-key expansion is unchanged.
+    ``top`` sizes the worst-served-user drilldown.
     """
-    if shards is not None and shards < 1:
-        raise AnalysisError(f"shards must be >= 1, got {shards}")
-    if batch_rows < 1:
-        raise AnalysisError(f"batch_rows must be >= 1, got {batch_rows}")
+    if top < 0:
+        raise AnalysisError(f"top must be >= 0, got {top}")
     started = time.perf_counter()
     with _trace.span(
-        "workload.evaluate_population",
-        users=population.n_users,
-        shards=shards or 0,
+        "workload.evaluate_population", users=population.n_users
     ) as span:
         table = _dimension_table(
             topology, dimension, include_links=include_links, formula=formula
         )
         device_avail = population.device_availability(table)
 
-        present = np.unique(population.attachment_index)
+        n_attachments = len(population.attachments)
+        present = np.flatnonzero(
+            np.bincount(population.attachment_index, minlength=n_attachments)
+        )
         attachments = [population.attachments[i] for i in present]
         with _trace.span("workload.compile_keys", keys=len(attachments)):
             kernels = _kernels_for_attachments(
@@ -363,76 +342,38 @@ def evaluate_population(
                 include_links=include_links,
             )
 
-        # Row dedup per key: one perturbed sweep over the distinct
-        # device-availability values of each attachment group.
-        availability = np.empty(population.n_users, dtype=np.float64)
-        tasks = []  # (kernel, base, var, values, user_rows, inverse)
-        total_rows = 0
+        # Per key, the root with the device at 0 (a0) and the change when
+        # it goes to 1 (slope): the root is linear in each variable.
+        a0 = np.zeros(n_attachments, dtype=np.float64)
+        slope = np.zeros(n_attachments, dtype=np.float64)
+        rows = 0
         for attachment_ix, attachment in zip(present, attachments):
             kernel = kernels[attachment]
-            user_rows = np.flatnonzero(
-                population.attachment_index == attachment_ix
-            )
-            base = kernel.probability_vector(table)
             var = kernel.index.get(attachment)
             if var is None:
                 # the user's device is not part of the service structure:
-                # every user at this key perceives the same availability
-                # (perturbing variable 0 with its own base value is a no-op)
-                var = 0
-                unique_values = base[:1].copy()
-                inverse = np.zeros(len(user_rows), dtype=np.intp)
-            else:
-                unique_values, inverse = np.unique(
-                    device_avail[user_rows], return_inverse=True
-                )
-            _M_BATCH_ROWS.observe(len(unique_values))
-            total_rows += len(unique_values)
-            tasks.append((kernel, base, var, unique_values, user_rows, inverse))
+                # every user at this key perceives the base availability
+                a0[attachment_ix] = kernel.availability(table)
+                continue
+            low, high = kernel.evaluate_perturbed(
+                kernel.probability_vector(table), var, (0.0, 1.0)
+            )
+            a0[attachment_ix] = low
+            slope[attachment_ix] = high - low
+            rows += 2
+
+        availability = slope.take(population.attachment_index)
+        availability *= device_avail
+        availability += a0.take(population.attachment_index)
 
         report = PopulationReport(
             availability=availability,
             keys=len(attachments),
-            rows=total_rows,
-            shards=0,
+            rows=rows,
             dimension=dimension,
         )
-
-        use_shards = shards is not None and shards > 1 and len(tasks) > 1
-        if use_shards:
-            from repro.workload.sharding import evaluate_sharded, sharding_supported
-
-            use_shards = sharding_supported()
-        if use_shards:
-            assert shards is not None
-            with _trace.span(
-                "workload.shard_fanout", shards=shards, keys=len(tasks)
-            ):
-                results, shard_seconds = evaluate_sharded(
-                    [
-                        (kernel, base, var, values)
-                        for kernel, base, var, values, _, _ in tasks
-                    ],
-                    shards=shards,
-                    batch_rows=batch_rows,
-                )
-            report.shards = shards
-            report.shard_seconds = shard_seconds
-            for seconds in shard_seconds:
-                _M_SHARD_SECONDS.observe(seconds)
-            for (kernel, base, var, values, user_rows, inverse), row_avail in zip(
-                tasks, results
-            ):
-                availability[user_rows] = row_avail[inverse]
-        else:
-            for kernel, base, var, values, user_rows, inverse in tasks:
-                row_avail = kernel.evaluate_perturbed(
-                    base, var, values, batch_rows=batch_rows
-                )
-                availability[user_rows] = row_avail[inverse]
-
         _M_USERS.inc(population.n_users)
-        _M_ROWS.inc(total_rows)
+        _M_ROWS.inc(rows)
         _M_DEDUP.set(report.dedup_ratio)
         _summarize(population, availability, report, top)
         report.seconds = time.perf_counter() - started

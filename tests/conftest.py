@@ -99,7 +99,7 @@ def _fanout_scratch():
     scratch = {
         name
         for name in os.listdir(tempfile.gettempdir())
-        if name.startswith(("repro-shard-", "repro-compile-"))
+        if name.startswith("repro-compile-")
     }
     try:
         shm = set(os.listdir("/dev/shm"))

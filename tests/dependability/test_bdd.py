@@ -33,7 +33,6 @@ from repro.dependability.bdd import (
     AvailabilityKernel,
     compile_pair,
     compile_structure,
-    evaluate_perturbed_arrays,
     frequency_order,
     kernel_cache_clear,
     kernel_cache_info,
@@ -190,8 +189,8 @@ class TestFamilyEquivalence:
                 p[v] = x
                 expected.append(kernel.evaluate_vector(p)[0])
             assert kernel.evaluate_perturbed(base, v, values).tolist() == expected
-            assert evaluate_perturbed_arrays(
-                *flat_arrays, base, v, values, batch_rows=3
+            assert flat.evaluate_perturbed(
+                base, v, values, batch_rows=3
             ).tolist() == expected
 
 
@@ -339,7 +338,7 @@ class TestEvaluateMany:
             kernel.evaluate_many(matrix, out=np.empty(3, dtype=np.float32))
 
     def test_flat_arrays_read_only(self, casestudy):
-        """The linearized node tables are shared (LRU, shard workers,
+        """The linearized node tables are shared (LRU, compile workers,
         artifact store) — callers must not be able to mutate them."""
         groups, _ = casestudy
         kernel = compile_structure(groups)
@@ -426,11 +425,13 @@ class TestEvaluatePerturbed:
 
     @staticmethod
     def _perturbed(route, kernel, base, values, out):
-        if route == "kernel":
-            return kernel.evaluate_perturbed(base, 0, values, out=out)
-        return evaluate_perturbed_arrays(
-            *kernel.flat_arrays(), base, 0, values, out=out
-        )
+        """*route* ``"arrays"`` sweeps a kernel rebuilt from its flat
+        arrays (the store's warm-start shape)."""
+        if route == "arrays":
+            kernel = AvailabilityKernel.from_flat(
+                *kernel.flat_arrays(), kernel._group_pos, kernel.variables
+            )
+        return kernel.evaluate_perturbed(base, 0, values, out=out)
 
 
 class TestFromFlat:

@@ -1,9 +1,9 @@
 """The one worker fan-out (:mod:`repro.fanout`) every parallel route uses.
 
-Sharded population sweeps and ``compile_many`` pick the start method the
-same way — fork in a single-threaded process that has it, spawn
-otherwise — so these tests drive both planes through both methods on
-Linux without any knob: a live helper thread is what makes them spawn.
+``compile_many`` picks the start method by one rule — fork in a
+single-threaded process that has it, spawn otherwise — so these tests
+drive it through both methods on Linux without any knob: a live helper
+thread is what makes it spawn.
 The deadline thread of the resilient runner and the live evaluator
 (:func:`repro.fanout.call_with_deadline`) must keep its spans under the
 caller's.
@@ -15,11 +15,9 @@ import multiprocessing
 import sys
 import threading
 
-import numpy as np
 import pytest
 
 from repro import fanout
-from repro.casestudy import CLIENTS, printing_mapping
 from repro.cli import main
 from repro.core import engine
 from repro.core.churn import ChurnPolicy, LinkCut, LiveEvaluator
@@ -27,14 +25,8 @@ from repro.dependability.bdd import compile_many, compile_structure, kernel_cach
 from repro.errors import AnalysisError
 from repro.network.generators import campus
 from repro.obs.trace import Tracer, activate, load
-from repro.workload import Population, UserClass, evaluate_population
 
 pytestmark = pytest.mark.fanout
-
-CLASSES = (
-    UserClass("std", weight=4, device_availability=0.98, jitter=0.05),
-    UserClass("gold", weight=1, device_availability=0.9999),
-)
 
 STRUCTURES = [
     [[frozenset({f"s{s}a", f"s{s}b"}), frozenset({f"s{s}a", f"s{s}c"})]]
@@ -42,40 +34,41 @@ STRUCTURES = [
 ] + [[[frozenset({"x", "y"})], [frozenset({"y", "z"}), frozenset({"w"})]]]
 
 
-def usi_mapping(client):
-    return printing_mapping(client, "p2")
-
-
 def _exit_with(code):
     sys.exit(code)
 
 
-def run_both_planes(usi_topo, printing):
-    """Shard a population and fan a cold compile out, traced; return the
-    start method each plane's span recorded."""
-    population = Population.generate(1500, CLASSES, CLIENTS, seed=5)
-    serial = evaluate_population(usi_topo, printing, usi_mapping, population)
+def run_compile_plane():
+    """Fan a cold compile out, traced; return the start method its span
+    recorded."""
     reference = [compile_structure(s, use_cache=False) for s in STRUCTURES]
     kernel_cache_clear()
     tracer = Tracer()
     with activate(tracer):
-        sharded = evaluate_population(
-            usi_topo, printing, usi_mapping, population, shards=2
-        )
         kernels = compile_many(STRUCTURES, jobs=2)
-    assert sharded.shards == 2
-    assert np.array_equal(sharded.availability, serial.availability)
     for kernel, ref in zip(kernels, reference):
         assert kernel.variables == ref.variables
         assert kernel.fingerprint == ref.fingerprint
         table = {v: 0.7 + 0.02 * i for i, v in enumerate(ref.variables)}
         assert kernel.availability(table) == ref.availability(table)
         assert set(kernel.minimal_path_sets()) == set(ref.minimal_path_sets())
-    (shards_span,) = tracer.find("workload.shards")
     (many_span,) = tracer.find("bdd.compile.many")
     assert many_span.attrs["shipped"] == len(STRUCTURES)
     assert many_span.attrs["fallback"] == 0
-    return shards_span.attrs["method"], many_span.attrs["method"]
+    return many_span.attrs["method"]
+
+
+class TestBalance:
+    def test_spreads_by_cost(self):
+        assignments = fanout.balance([100, 1, 1, 1, 1], workers=2)
+        loads = [sum([100, 1, 1, 1, 1][i] for i in a) for a in assignments]
+        # the four small tasks all land opposite the giant one
+        assert sorted(loads) == [4, 100]
+
+    def test_every_task_assigned_once(self):
+        assignments = fanout.balance([3, 5, 2, 8, 1, 1], workers=3)
+        flat = sorted(i for a in assignments for i in a)
+        assert flat == [0, 1, 2, 3, 4, 5]
 
 
 class TestRun:
@@ -87,28 +80,26 @@ class TestRun:
 
 
 class TestStartMethod:
-    def test_live_thread_spawns(
-        self, usi_topo, printing, helper_thread, no_fanout_leftovers
-    ):
+    def test_live_thread_spawns(self, helper_thread, no_fanout_leftovers):
         """Abandoned daemon threads may hold locks a fork would copy."""
         assert fanout.start_method() == "spawn"
-        assert run_both_planes(usi_topo, printing) == ("spawn", "spawn")
+        assert run_compile_plane() == "spawn"
 
     @pytest.mark.skipif(sys.platform != "linux", reason="fork is Linux-only here")
     def test_single_threaded_linux_forks(
-        self, usi_topo, printing, forked_workers, no_fanout_leftovers
+        self, forked_workers, no_fanout_leftovers
     ):
         assert fanout.start_method() == "fork"
-        assert run_both_planes(usi_topo, printing) == ("fork", "fork")
+        assert run_compile_plane() == "fork"
 
     def test_platform_without_fork_spawns(
-        self, usi_topo, printing, monkeypatch, no_fanout_leftovers
+        self, monkeypatch, no_fanout_leftovers
     ):
-        """Where fork does not exist, both planes still fan out."""
+        """Where fork does not exist, the plane still fans out."""
         monkeypatch.setattr(
             multiprocessing, "get_all_start_methods", lambda: ["spawn"]
         )
-        assert run_both_planes(usi_topo, printing) == ("spawn", "spawn")
+        assert run_compile_plane() == "spawn"
 
 
 def _root_layers(roots):

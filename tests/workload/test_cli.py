@@ -32,11 +32,12 @@ class TestPopulationCommand:
         assert "mobile" in out
         assert out.count("  user ") == 2
 
-    def test_sharded_run_prints_timings(self, capsys):
-        assert main(["population", "--users", "400", "--shards", "2"]) == 0
+    def test_report_line_counts_kernel_rows(self, capsys):
+        assert main(["population", "--users", "400"]) == 0
         out = capsys.readouterr().out
-        assert "2 shard(s)" in out
-        assert "shard timings:" in out
+        # two kernel rows (device at 0 and at 1) per attachment key
+        assert "kernel row(s) swept" in out
+        assert "shard" not in out
 
     def test_seed_changes_population(self, capsys):
         assert main(["population", "--users", "200", "--seed", "1"]) == 0
@@ -52,4 +53,8 @@ class TestPopulationCommand:
     def test_zero_users_is_error(self, capsys):
         assert main(["population", "--users", "0"]) == 12
         assert "error:" in capsys.readouterr().err
+
+    def test_negative_top_is_error(self, capsys):
+        assert main(["population", "--users", "50", "--top", "-2"]) == 12
+        assert "top must be >= 0" in capsys.readouterr().err
 

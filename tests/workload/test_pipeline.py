@@ -102,12 +102,6 @@ class TestStageNine:
         report = pipeline.run()
         assert POPULATION_STAGE in report.executed_stages()
 
-    def test_shards_change_invalidates_reuse(self, pipeline, population):
-        pipeline.set_population(population)
-        pipeline.run()
-        report = pipeline.run(shards=1)
-        assert POPULATION_STAGE in report.executed_stages()
-
     def test_clearing_population_drops_stage(self, pipeline, population):
         pipeline.set_population(population)
         pipeline.run()

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.casestudy import CLIENTS, printing_mapping
 from repro.core import ServiceMapping, ServiceMappingPair
+from repro.dependability.bdd import configure_compile
 from repro.errors import AnalysisError
 from repro.network import Topology
-from repro.network.generators import campus, ring
+from repro.network.generators import campus, erdos_renyi, ladder, ring
 from repro.services import AtomicService, CompositeService
 from repro.workload import (
     Population,
@@ -71,7 +74,6 @@ class TestReport:
         assert report.n_users == 2000
         assert report.keys == len(set(population.attachment_counts()))
         assert report.rows >= report.keys
-        assert report.shards == 0 and report.shard_seconds == []
         assert report.dedup_ratio >= 1.0
         assert np.all(
             (report.availability > 0.0) & (report.availability < 1.0)
@@ -105,19 +107,16 @@ class TestReport:
             5000, JITTER_FREE, CLIENTS, seed=3
         )
         report = evaluate_population(usi_topo, printing, usi_mapping, population)
-        # 2 distinct device values per attachment key, nothing more
-        assert report.rows <= 2 * report.keys
+        # two kernel rows per key (device at 0 and at 1), however many
+        # distinct device values its users carry
+        assert report.rows == 2 * report.keys
         assert report.dedup_ratio > 100.0
 
     def test_validation(self, usi_topo, printing):
         population = Population.generate(10, CLASSES, CLIENTS, seed=0)
-        with pytest.raises(AnalysisError, match="shards must be >= 1"):
+        with pytest.raises(AnalysisError, match="top must be >= 0"):
             evaluate_population(
-                usi_topo, printing, usi_mapping, population, shards=0
-            )
-        with pytest.raises(AnalysisError, match="batch_rows must be >= 1"):
-            evaluate_population(
-                usi_topo, printing, usi_mapping, population, batch_rows=0
+                usi_topo, printing, usi_mapping, population, top=-2
             )
 
 
@@ -146,12 +145,144 @@ class TestEquivalence:
         )
         assert float(np.max(np.abs(report.availability - naive))) <= 1e-12
 
-    def test_batch_rows_chunking_is_invariant(self, usi_topo, printing):
-        population = Population.generate(3000, CLASSES, CLIENTS, seed=5)
-        whole = evaluate_population(
-            usi_topo, printing, usi_mapping, population
+
+# -- the Shannon expansion on generated inputs ---------------------------------
+
+#: "client" is a leaf on every generated family: mapped away from the
+#: service below, its device lies outside every kernel built for it
+OUTSIDE = "client"
+
+
+def shannon_plane(family, size, seed):
+    """A generated topology, a three-leg service and a mapping factory.
+
+    Users attach at every node but the server.  Besides its own
+    connect/transfer legs each user's service syncs one fixed switch
+    pair, so users at other switches are transit nodes of a pair they
+    are no endpoint of; users at ``OUTSIDE`` run the service from the
+    pair's first switch instead, which leaves their device out of it.
+    """
+    if family == "ring":
+        n = size + 3
+        builder, sync = ring(n), ("sw1", f"sw{n - 1}")
+    elif family == "ladder":
+        rungs = size + 1
+        builder, sync = ladder(rungs), ("top0", f"bot{rungs - 1}")
+    elif family == "campus":
+        edges = 1 + size % 2
+        builder = campus(dist_switches=2, edges_per_dist=edges, clients_per_edge=2)
+        sync = ("edge0_0", f"edge1_{edges - 1}")
+    else:
+        n = size + 4
+        builder = erdos_renyi(n, 0.4, seed=seed)
+        sync = ("sw0", f"sw{n - 1}")
+    topology = Topology(builder.build())
+    attachments = tuple(node for node in topology.nodes() if node != "server")
+    service = CompositeService.sequential(
+        "synced",
+        (AtomicService("connect"), AtomicService("transfer"), AtomicService("sync")),
+    )
+
+    def mapping_for(attachment: str) -> ServiceMapping:
+        user = sync[0] if attachment == OUTSIDE else attachment
+        return ServiceMapping(
+            [
+                ServiceMappingPair("connect", user, "server"),
+                ServiceMappingPair("transfer", "server", user),
+                ServiceMappingPair("sync", *sync),
+            ]
         )
-        chunked = evaluate_population(
-            usi_topo, printing, usi_mapping, population, batch_rows=7
+
+    return topology, service, mapping_for, attachments
+
+
+SHANNON_CLASSES = CLASSES + (UserClass("plain"),)
+
+planes = st.tuples(
+    st.sampled_from(["ring", "ladder", "campus", "er"]),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=2**16),
+)
+
+
+class TestShannonExpansion:
+    """``A0 + d·(A1 − A0)`` per key against the per-user scalar oracle."""
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        plane=planes,
+        include_links=st.booleans(),
+        reorder=st.sampled_from(["none", "sift"]),
+    )
+    def test_matches_naive_oracle(self, plane, include_links, reorder):
+        topology, service, mapping_for, attachments = shannon_plane(*plane)
+        population = Population.generate(
+            300, SHANNON_CLASSES, attachments, seed=plane[2]
         )
-        assert np.array_equal(whole.availability, chunked.availability)
+        previous = configure_compile()["reorder"]
+        configure_compile(reorder=reorder)
+        try:
+            report = evaluate_population(
+                topology, service, mapping_for, population,
+                include_links=include_links,
+            )
+            naive = evaluate_population_naive(
+                topology, service, mapping_for, population,
+                include_links=include_links,
+            )
+        finally:
+            configure_compile(reorder=previous)
+        assert float(np.max(np.abs(report.availability - naive))) <= 1e-12
+        present = {population.attachments[i] for i in population.attachment_index}
+        assert report.keys == len(present)
+        # every device but OUTSIDE's is in its kernel: two rows per such key
+        assert report.rows == 2 * len(present - {OUTSIDE})
+
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        plane=planes,
+        low=st.floats(min_value=0.0, max_value=1.0),
+        raise_by=st.floats(min_value=0.0, max_value=1.0),
+        jitter=st.sampled_from([0.0, 0.05]),
+    )
+    def test_better_devices_never_lower_a_user(self, plane, low, raise_by, jitter):
+        """Metamorphic relation: raising a class's device availability
+        never lowers any user's availability."""
+        topology, service, mapping_for, attachments = shannon_plane(*plane)
+        high = min(1.0, low + raise_by)
+        drawn = Population.generate(
+            200, (UserClass("c"), UserClass("other")), attachments, seed=plane[2]
+        )
+
+        def evaluate(device):
+            classes = (
+                UserClass("c", device_availability=device, jitter=jitter),
+                UserClass("other", device_availability=0.99),
+            )
+            population = Population(
+                classes,
+                drawn.attachments,
+                drawn.class_index,
+                drawn.attachment_index,
+                drawn.jitter_unit,
+            )
+            return evaluate_population(
+                topology, service, mapping_for, population
+            ).availability
+
+        assert np.all(evaluate(high) >= evaluate(low))
+
+    def test_campus_sweeps_two_rows_per_key(self):
+        topology, service, mapping_for, clients = generated_plane("campus")
+        population = Population.generate(2000, CLASSES, clients, seed=4)
+        report = evaluate_population(topology, service, mapping_for, population)
+        assert report.keys == len(clients)
+        assert report.rows == 2 * report.keys
