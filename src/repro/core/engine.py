@@ -972,10 +972,11 @@ _CSR_TIER = _store.Tier("csr", _COMPILED, _encode_compiled, _decode_compiled)
 def compile_topology(topology: Topology) -> CompiledTopology:
     """Compile (or reuse) the integer-ID view of *topology*.
 
-    The fingerprint is recomputed on every call — O(V + E) hashing, far
-    cheaper than any enumeration — so a mutated read-through model is
-    never served stale arrays.  On an in-process cache miss the
-    configured artifact store (``REPRO_STORE``) is consulted before
+    The fingerprint is read on every call; :meth:`Topology.fingerprint`
+    caches it per model revision and every model mutator bumps the
+    revision, so a mutated read-through model is never served stale
+    arrays and an unchanged one costs no rehash.  On an in-process cache
+    miss the configured artifact store (``REPRO_STORE``) is consulted before
     compiling; a fresh compile writes through so other processes
     warm-start from it.
     """

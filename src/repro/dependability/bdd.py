@@ -751,8 +751,8 @@ class AvailabilityKernel:
       also reporting every pair root;
     * :meth:`evaluate_many` / :meth:`evaluate_many_all` — one pass with a
       k-vector per variable (k probability vectors at once);
-    * :meth:`evaluate_perturbed` — one pass per chunk with a k-vector at a
-      single variable and floats everywhere else;
+    * :meth:`evaluate_perturbed` — one scalar pass per value of a single
+      variable, every other variable at its base probability;
     * :meth:`birnbaum` — the scalar pass plus the one top-down pass,
       giving the importance of **every** variable at once;
     * :meth:`minimal_cut_sets` / :meth:`minimal_path_sets` — one memoized
@@ -1001,21 +1001,16 @@ class AvailabilityKernel:
     def evaluate_many(
         self,
         tables: Union[np.ndarray, Sequence[Mapping[str, float]]],
-        *,
-        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """System availability for k probability vectors in one vectorized
         sweep — the campaign/what-if batch fast path.
 
         *tables* is either a (k, n_variables) float array in kernel
         variable order (see :meth:`probability_vector`) or a sequence of
-        component→availability mappings.  *out* (when given) receives the
-        k results in place and is returned — no trailing allocation/copy,
-        matching :meth:`evaluate_perturbed`'s discipline; it must be a
-        float64 vector of length k.
+        component→availability mappings.
         """
         matrix = self._matrix(tables)
-        out = _out_buffer(out, matrix.shape[0])
+        out = np.empty(matrix.shape[0], dtype=np.float64)
         if len(out):
             out[:] = self._sweep_matrix(matrix)[self._root_pos]
         return out
@@ -1057,23 +1052,15 @@ class AvailabilityKernel:
         return self._np_var, self._np_low, self._np_high, self._root_pos
 
     def evaluate_perturbed(
-        self,
-        base: np.ndarray,
-        var: int,
-        values: np.ndarray,
-        *,
-        batch_rows: int = 65536,
-        out: Optional[np.ndarray] = None,
+        self, base: np.ndarray, var: int, values: np.ndarray
     ) -> np.ndarray:
         """System availability when every variable holds its *base*
-        probability except variable *var*, which sweeps over *values*.
+        probability except variable *var*, which takes each of *values*.
 
         The population evaluation plane sweeps the user's access device
-        over ``(0, 1)`` with it.  Memory is O(k · nodes-above-*var*)
-        instead of the (k, n_variables) annotation matrix
-        :meth:`evaluate_many` needs, and the sweep is chunked at
-        *batch_rows* rows; *out* (when given) receives the results in
-        place.
+        over ``(0, 1)`` with it.  Each value is one scalar sweep with
+        ``rows[var]`` set to it, so results equal :meth:`evaluate_vector`
+        on the perturbed vector bit for bit.
         """
         base = np.asarray(base, dtype=np.float64)
         if base.ndim != 1 or base.shape[0] != len(self.variables):
@@ -1091,16 +1078,12 @@ class AvailabilityKernel:
             raise AnalysisError(
                 f"perturbed values must be a 1-D array, got shape {values.shape}"
             )
-        if batch_rows < 1:
-            raise AnalysisError(f"batch_rows must be >= 1, got {batch_rows}")
-        out = _out_buffer(out, len(values))
         _count_evaluation(len(values))
-        rows: List[object] = base.tolist()
-        for start in range(0, len(values), batch_rows):
-            stop = start + batch_rows
-            rows[var] = values[start:stop]
-            # a root the perturbed variable never reaches is a float: broadcast
-            out[start:stop] = _sweep(
+        rows = base.tolist()
+        out = np.empty(len(values), dtype=np.float64)
+        for i, value in enumerate(values.tolist()):
+            rows[var] = value
+            out[i] = _sweep(
                 self._var_ix, self._low_pos, self._high_pos, rows
             )[self._root_pos]
         return out
@@ -1214,11 +1197,8 @@ def _sweep(
 
     Position 0/1 hold the FALSE/TRUE terminals and interior node *i*
     lands at position ``i + 2``; ``rows[v]`` is variable *v*'s
-    probability.  That is a float for scalar evaluation and a k-vector
-    per variable for a batch (``matrix.T``); a perturbed sweep passes
-    floats everywhere but the one perturbed variable.  A node stays a
-    float until a vector reaches it, so memory follows the perturbed
-    cone, not ``nodes × k``.
+    probability: a float for scalar (and perturbed) evaluation, a
+    k-vector per variable for a batch (``matrix.T``).
 
     This is the **only** forward evaluation loop: every route runs the
     identical per-node arithmetic in the same operand order, so scalar,
@@ -1230,20 +1210,6 @@ def _sweep(
         pv = rows[v]
         append(pv * values[hi] + (1.0 - pv) * values[lo])
     return values
-
-
-def _out_buffer(out: Optional[np.ndarray], k: int) -> np.ndarray:
-    """A fresh float64 result vector, or the validated caller buffer —
-    the one ``out=`` contract of the batch and perturbed routes."""
-    if out is None:
-        return np.empty(k, dtype=np.float64)
-    if (
-        not isinstance(out, np.ndarray)
-        or out.shape != (k,)
-        or out.dtype != np.float64
-    ):
-        raise AnalysisError(f"out must be a float64 array of shape ({k},)")
-    return out
 
 
 # -- variable orders ----------------------------------------------------------

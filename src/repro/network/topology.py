@@ -34,6 +34,8 @@ class Topology:
 
     def __init__(self, object_model: ObjectModel):
         self.model = object_model
+        #: ``(model, revision, digest)`` of the last :meth:`fingerprint`
+        self._fingerprint: Optional[Tuple[ObjectModel, int, str]] = None
 
     # -- size and membership ----------------------------------------------
 
@@ -122,9 +124,20 @@ class Topology:
         instance or a link, or reordering them — changes the fingerprint.
         The path engine keys every compiled artifact and memoized result
         on it, so stale caches can never be served for a mutated model.
+        Every :class:`ObjectModel` mutator bumps ``model.revision``, so
+        the digest is computed once per model revision and served from
+        this view's cache until the next mutation.
         """
+        model = self.model
+        cached = self._fingerprint
+        if (
+            cached is not None
+            and cached[0] is model
+            and cached[1] == model.revision
+        ):
+            return cached[2]
         digest = hashlib.blake2b(digest_size=16)
-        for name in self.model.instance_names():
+        for name in model.instance_names():
             digest.update(b"\x00n")
             digest.update(name.encode("utf-8"))
         for a, b in self.edges():
@@ -132,13 +145,15 @@ class Topology:
             digest.update(a.encode("utf-8"))
             digest.update(b"\x01")
             digest.update(b.encode("utf-8"))
-        return digest.hexdigest()
+        self._fingerprint = (model, model.revision, digest.hexdigest())
+        return self._fingerprint[2]
 
     def compiled(self) -> "CompiledTopology":
         """The compiled integer-ID CSR view used by the path engine.
 
-        Reuses the cached compilation while :meth:`fingerprint` is
-        unchanged; recompiles transparently after a model mutation.
+        Reuses the cached compilation while :meth:`fingerprint` — cached
+        per model revision — is unchanged; recompiles transparently after
+        a model mutation.
         """
         from repro.core.engine import compile_topology
 

@@ -175,7 +175,6 @@ def _encode(
     key_parts: Sequence[str],
     arrays: Mapping[str, np.ndarray],
     meta: Optional[Mapping[str, object]] = None,
-    digest: bool = True,
 ) -> bytearray:
     directory: List[Dict[str, object]] = []
     offset = 0
@@ -213,11 +212,9 @@ def _encode(
         start = payload_start + int(record["offset"])  # type: ignore[arg-type]
         payload[start : start + array.nbytes] = array.reshape(-1).view(np.uint8)
     del payload
-    recorded = (
-        hashlib.blake2b(memoryview(buffer)[_HEADER.size :], digest_size=16).digest()
-        if digest
-        else bytes(16)
-    )
+    recorded = hashlib.blake2b(
+        memoryview(buffer)[_HEADER.size :], digest_size=16
+    ).digest()
     buffer[: _HEADER.size] = _HEADER.pack(
         _MAGIC, _VERSION, 0, len(meta_bytes), payload_len, recorded
     )
@@ -278,11 +275,10 @@ def _read_meta(buffer, path: Path) -> Tuple[Dict[str, object], int, int]:
     return meta_doc, payload_start, payload_len
 
 
-def open_artifact(path: Union[str, Path], *, verify: bool = True) -> Artifact:
+def open_artifact(path: Union[str, Path]) -> Artifact:
     """Map an artifact file read-only and decode its typed views.
 
-    With ``verify=True`` (the default, and what :meth:`ArtifactStore.get`
-    uses) the stored payload digest is recomputed over the mapping; any
+    The stored payload digest is recomputed over the mapping; any
     mismatch — truncation, bit rot, a torn write that somehow bypassed
     the atomic rename — raises :class:`StoreError`.
     """
@@ -296,13 +292,10 @@ def open_artifact(path: Union[str, Path], *, verify: bool = True) -> Artifact:
         raise StoreError(f"cannot map artifact {path}: {exc}") from exc
     view = memoryview(mapped)
     meta_doc, payload_start, _ = _read_meta(view, path)
-    if verify:
-        recorded = _HEADER.unpack_from(view)[5]
-        actual = hashlib.blake2b(
-            view[_HEADER.size :], digest_size=16
-        ).digest()
-        if actual != recorded:
-            raise StoreError(f"artifact {path} failed digest verification")
+    recorded = _HEADER.unpack_from(view)[5]
+    actual = hashlib.blake2b(view[_HEADER.size :], digest_size=16).digest()
+    if actual != recorded:
+        raise StoreError(f"artifact {path} failed digest verification")
     arrays: Dict[str, np.ndarray] = {}
     for record in meta_doc.get("arrays", ()):
         dtype = np.dtype(record["dtype"])
@@ -327,19 +320,12 @@ def write_artifact_file(
     key_parts: Sequence[str],
     arrays: Mapping[str, np.ndarray],
     meta: Optional[Mapping[str, object]] = None,
-    *,
-    digest: bool = True,
 ) -> int:
     """Write one container to an explicit *path* (atomic within its
     directory); returns the byte size — no :class:`ArtifactStore`
-    needed.
-
-    ``digest=False`` records an all-zero payload digest instead of
-    hashing the payload, for files that live only as long as one call
-    and are read back with ``open_artifact(..., verify=False)``: the
-    hash is one blake2b pass over every byte written."""
+    needed."""
     path = Path(path)
-    blob = _encode(kind, key_parts, arrays, meta, digest)
+    blob = _encode(kind, key_parts, arrays, meta)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     with open(tmp, "wb") as handle:
         handle.write(blob)

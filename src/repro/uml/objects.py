@@ -177,6 +177,9 @@ class ObjectModel(NamedElement):
         self._instances: Dict[str, InstanceSpecification] = {}
         self._links: Dict[str, Link] = {}
         self._adjacency: Dict[str, List[str]] = {}
+        #: bumped by every mutator: views key derived state (the topology
+        #: fingerprint) on it instead of rehashing the model per call
+        self.revision = 0
 
     # -- population ------------------------------------------------------------
 
@@ -192,6 +195,7 @@ class ObjectModel(NamedElement):
         instance.owner = self
         self._instances[name] = instance
         self._adjacency[name] = []
+        self.revision += 1
         return instance
 
     def add_existing_instance(self, instance: InstanceSpecification) -> InstanceSpecification:
@@ -203,6 +207,7 @@ class ObjectModel(NamedElement):
             )
         self._instances[instance.name] = instance
         self._adjacency[instance.name] = []
+        self.revision += 1
         return instance
 
     def add_link(
@@ -257,6 +262,7 @@ class ObjectModel(NamedElement):
         self._links[link_name] = link
         self._adjacency[inst_a.name].append(link_name)
         self._adjacency[inst_b.name].append(link_name)
+        self.revision += 1
         return link
 
     # -- controlled removal ----------------------------------------------------
@@ -284,6 +290,7 @@ class ObjectModel(NamedElement):
         del self._links[link.name]
         self._adjacency[link.end1.name].remove(link.name)
         self._adjacency[link.end2.name].remove(link.name)
+        self.revision += 1
         return link
 
     def remove_instance(
@@ -307,6 +314,7 @@ class ObjectModel(NamedElement):
         removed = [self.remove_link(link.end1, link.end2) for link in incident]
         del self._instances[name]
         del self._adjacency[name]
+        self.revision += 1
         return inst, removed
 
     # -- access ----------------------------------------------------------------

@@ -10,7 +10,7 @@ pair at a time; this package serves whole user *populations*:
   users sharing an attachment point and service collapse to one compiled
   structure query, each query is expanded once on the user's device
   (root with the device at 0 and at 1), and every user's availability is
-  one multiply-add on those two values.
+  one affine step ``alpha + beta · r_u`` in their own jitter draw.
 
 Quick start::
 

@@ -1,5 +1,5 @@
 """The vectorized population evaluation plane: one kernel per attachment,
-one multiply-add per user.
+one affine step per user.
 
 ``evaluate_population`` turns "availability as perceived by each of a
 million users" into a few numpy passes:
@@ -12,13 +12,23 @@ million users" into a few numpy passes:
    :class:`~repro.dependability.bdd.AvailabilityKernel`.
 2. **Shannon expansion on the device** — within an attachment group the
    only per-user annotation is the availability ``d`` of the user's own
-   access device (class override × jitter).  Components are independent,
-   so the system availability is linear in each component's
-   availability: ``A(d) = A0 + d · (A1 − A0)``, where ``A0``/``A1`` are
-   the kernel's root with the device held at 0 and at 1.  One two-value
+   access device.  Components are independent, so the system
+   availability is linear in each component's availability:
+   ``A(d) = A0 + d · (A1 − A0)``, where ``A0``/``A1`` are the kernel's
+   root with the device held at 0 and at 1 — two scalar
    :meth:`~repro.dependability.bdd.AvailabilityKernel.evaluate_perturbed`
-   sweep per attachment yields ``(A0, A1)``; every user is then one
-   gather and one multiply-add over the population's attachment index.
+   sweeps per attachment.
+3. **One affine pass per user** — user *u* of class *c* at attachment
+   *k* has ``d = b[c, k] · (1 − jitter[c] · r_u)``
+   (:meth:`~repro.workload.population.Population.device_table`), so
+   ``A_u = alpha[g] + beta[g] · r_u`` with ``alpha = A0 + slope · b`` and
+   ``beta = −slope · b · jitter`` per (class, attachment) group *g*.
+   The per-user work is one group index, two gathers, one multiply and
+   one add.
+
+Class summaries sort each class's values once and read the minimum and
+the tail percentiles off the sorted copy with numpy's ``linear`` rule,
+so they equal ``np.percentile`` exactly.
 
 ``evaluate_population_naive`` is the honest scalar oracle: a Python loop
 over users, one availability table and one
@@ -31,6 +41,7 @@ the equivalence tests assert that bound.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Sequence, Tuple
@@ -252,6 +263,23 @@ def _kernels_for_attachments(
     return dict(zip(attachments, compiled))
 
 
+def _sorted_percentile(values: np.ndarray, q: float) -> float:
+    """``np.percentile(values, 100 · q)`` of an ascending-sorted array.
+
+    numpy's default ``linear`` rule, term for term: the virtual index
+    ``q · (n − 1)`` and the two-sided lerp that interpolates from the
+    upper neighbour once the weight reaches 0.5.
+    """
+    n = len(values)
+    virtual = (n - 1) * q
+    lo = math.floor(virtual)
+    a = float(values[lo])
+    b = float(values[min(lo + 1, n - 1)])
+    t = virtual - lo
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
 def _summarize(
     population: Population,
     availability: np.ndarray,
@@ -260,21 +288,20 @@ def _summarize(
 ) -> None:
     """Fill per-class percentiles and the worst-served drilldown."""
     for ci, user_class in enumerate(population.classes):
-        mask = population.class_index == ci
-        count = int(mask.sum())
-        if not count:
+        values = np.compress(population.class_index == ci, availability)
+        if not len(values):
             continue
-        values = availability[mask]
-        p50, p90, p99 = np.percentile(values, (50.0, 10.0, 1.0))
+        mean = float(values.mean())
+        values.sort()
         report.class_summaries.append(
             ClassSummary(
                 name=user_class.name,
-                users=count,
-                mean=float(values.mean()),
-                minimum=float(values.min()),
-                p50=float(p50),
-                p90=float(p90),
-                p99=float(p99),
+                users=len(values),
+                mean=mean,
+                minimum=float(values[0]),
+                p50=_sorted_percentile(values, 0.5),
+                p90=_sorted_percentile(values, 0.1),
+                p99=_sorted_percentile(values, 0.01),
             )
         )
     if top > 0 and len(availability):
@@ -326,7 +353,7 @@ def evaluate_population(
         table = _dimension_table(
             topology, dimension, include_links=include_links, formula=formula
         )
-        device_avail = population.device_availability(table)
+        device = population.device_table(table)
 
         n_attachments = len(population.attachments)
         present = np.flatnonzero(
@@ -362,9 +389,15 @@ def evaluate_population(
             slope[attachment_ix] = high - low
             rows += 2
 
-        availability = slope.take(population.attachment_index)
-        availability *= device_avail
-        availability += a0.take(population.attachment_index)
+        # user u of group g = (class, attachment) has device
+        # b[g] · (1 − jitter · r_u), so A_u = alpha[g] + beta[g] · r_u
+        scaled = slope * device
+        alpha = (a0 + scaled).ravel()
+        beta = (scaled * -population.jitters()[:, np.newaxis]).ravel()
+        group = population.group_index()
+        availability = beta.take(group)
+        availability *= population.jitter_unit
+        availability += alpha.take(group)
 
         report = PopulationReport(
             availability=availability,

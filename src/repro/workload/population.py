@@ -12,8 +12,8 @@ attachment point:
 * ``jitter`` — a relative per-user degradation spread: user *u* of the
   class perceives ``base · (1 − jitter · r_u)`` with ``r_u`` drawn once,
   deterministically, in ``[0, 1)``.  ``jitter = 0`` makes every user of
-  a class at one attachment identical — the degenerate case the
-  evaluation plane collapses to a single annotation row;
+  a class at one attachment identical (a zero slope in the plane's
+  affine rule);
 * ``demand`` — requests per user, a reporting weight for capacity-style
   roll-ups;
 * ``mobility`` — the fraction of the attachment list the class roams
@@ -176,6 +176,10 @@ class Population:
         self.jitter_unit = np.ascontiguousarray(jitter_unit, dtype=np.float64)
         if len(self.jitter_unit) != n:
             raise AnalysisError("jitter_unit length disagrees with users")
+        if n and not (
+            self.jitter_unit.min() >= 0.0 and self.jitter_unit.max() < 1.0
+        ):
+            raise AnalysisError("jitter_unit out of range [0, 1)")
 
     # -- construction -------------------------------------------------------
 
@@ -242,16 +246,24 @@ class Population:
         )
         return {a: int(n) for a, n in zip(self.attachments, counts) if n}
 
-    def device_availability(
-        self, table: Mapping[str, float]
-    ) -> np.ndarray:
-        """Per-user perceived availability of their own access device.
+    def group_index(self) -> np.ndarray:
+        """Per-user row of the flattened :meth:`device_table`:
+        ``class_index · n_attachments + attachment_index`` (``intp``, so
+        ``take`` gathers with it without converting the index)."""
+        index = np.multiply(
+            self.class_index, len(self.attachments), dtype=np.intp
+        )
+        index += self.attachment_index
+        return index
 
-        The class override (or, absent one, the Formula-1 value of the
-        attachment component from *table*) degraded by the user's jitter
-        draw — fully vectorized, clipped to ``[0, 1]``.  The scalar
-        oracle and the vectorized plane both start from this array, so
-        their inputs are bit-identical by construction.
+    def device_table(self, table: Mapping[str, float]) -> np.ndarray:
+        """The ``(n_classes, n_attachments)`` device availability before
+        jitter: the class override, or absent one the Formula-1 value of
+        the attachment component from *table*.
+
+        User *u* perceives ``device_table[c, k] · (1 − jitter[c] · r_u)``
+        for their class *c* and attachment *k* — the one definition both
+        :meth:`device_availability` and the evaluation plane read.
         """
         try:
             attach_avail = np.array(
@@ -262,22 +274,29 @@ class Population:
                 f"attachment component {exc.args[0]!r} has no availability "
                 f"annotation in the model"
             ) from None
-        base = attach_avail[self.attachment_index]
+        device = np.tile(attach_avail, (len(self.classes), 1))
         for ci, user_class in enumerate(self.classes):
-            if user_class.device_availability is None and not user_class.jitter:
-                continue
-            mask = self.class_index == ci
-            if not mask.any():
-                continue
-            values = (
-                np.full(int(mask.sum()), user_class.device_availability)
-                if user_class.device_availability is not None
-                else base[mask]
-            )
-            if user_class.jitter:
-                values = values * (1.0 - user_class.jitter * self.jitter_unit[mask])
-            base[mask] = values
-        return np.clip(base, 0.0, 1.0)
+            if user_class.device_availability is not None:
+                device[ci] = user_class.device_availability
+        return device
+
+    def jitters(self) -> np.ndarray:
+        """Per-class relative jitter, class order."""
+        return np.array([c.jitter for c in self.classes], dtype=np.float64)
+
+    def device_availability(
+        self, table: Mapping[str, float]
+    ) -> np.ndarray:
+        """Per-user perceived availability of their own access device.
+
+        The user's :meth:`device_table` entry degraded by their jitter
+        draw, clipped to ``[0, 1]``.  The scalar oracle reads this array;
+        the vectorized plane folds the same table and jitters into one
+        affine rule per (class, attachment) group instead.
+        """
+        values = self.device_table(table).ravel().take(self.group_index())
+        values *= 1.0 - self.jitters().take(self.class_index) * self.jitter_unit
+        return np.clip(values, 0.0, 1.0, out=values)
 
 
 def mapping_for_user(

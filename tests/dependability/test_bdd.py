@@ -189,9 +189,7 @@ class TestFamilyEquivalence:
                 p[v] = x
                 expected.append(kernel.evaluate_vector(p)[0])
             assert kernel.evaluate_perturbed(base, v, values).tolist() == expected
-            assert flat.evaluate_perturbed(
-                base, v, values, batch_rows=3
-            ).tolist() == expected
+            assert flat.evaluate_perturbed(base, v, values).tolist() == expected
 
 
 class TestCaseStudyEquivalence:
@@ -310,33 +308,6 @@ class TestEvaluateMany:
         with pytest.raises(AnalysisError):
             kernel.evaluate_many([short])
 
-    def test_out_buffer_reused_bit_identical(self, casestudy):
-        """``out=`` writes results into a caller-owned buffer — no
-        trailing copy — and matches the allocating path exactly."""
-        groups, table = casestudy
-        kernel = compile_structure(groups)
-        base = kernel.probability_vector(table)
-        matrix = np.repeat(base[np.newaxis, :], 5, axis=0)
-        matrix[2] *= 0.95
-        expected = kernel.evaluate_many(matrix)
-        out = np.full(5, -1.0)
-        returned = kernel.evaluate_many(matrix, out=out)
-        assert returned is out  # the same buffer, not a copy
-        assert np.array_equal(out, expected)
-        # empty batches honor the buffer contract too
-        empty = np.empty(0)
-        assert kernel.evaluate_many([], out=empty) is empty
-
-    def test_out_buffer_shape_validated(self, casestudy):
-        groups, table = casestudy
-        kernel = compile_structure(groups)
-        base = kernel.probability_vector(table)
-        matrix = np.repeat(base[np.newaxis, :], 3, axis=0)
-        with pytest.raises(AnalysisError, match="out"):
-            kernel.evaluate_many(matrix, out=np.empty(2))
-        with pytest.raises(AnalysisError, match="out"):
-            kernel.evaluate_many(matrix, out=np.empty(3, dtype=np.float32))
-
     def test_flat_arrays_read_only(self, casestudy):
         """The linearized node tables are shared (LRU, compile workers,
         artifact store) — callers must not be able to mutate them."""
@@ -364,15 +335,6 @@ class TestEvaluatePerturbed:
         perturbed = kernel.evaluate_perturbed(base, var, values)
         assert np.array_equal(perturbed, kernel.evaluate_many(matrix))
 
-    def test_chunking_is_invariant(self, casestudy):
-        groups, table = casestudy
-        kernel = compile_structure(groups)
-        base = kernel.probability_vector(table)
-        values = np.linspace(0.1, 0.9, 23)
-        whole = kernel.evaluate_perturbed(base, 0, values)
-        chunked = kernel.evaluate_perturbed(base, 0, values, batch_rows=4)
-        assert np.array_equal(whole, chunked)
-
     def test_empty_and_single_values(self, casestudy):
         groups, table = casestudy
         kernel = compile_structure(groups)
@@ -393,45 +355,6 @@ class TestEvaluatePerturbed:
             kernel.evaluate_perturbed(base, -1, [0.5])
         with pytest.raises(AnalysisError, match="1-D"):
             kernel.evaluate_perturbed(base, 0, [[0.5, 0.6]])
-
-    @pytest.mark.parametrize("route", ["kernel", "arrays"])
-    def test_out_buffer_wrong_dtype_refused(self, casestudy, route):
-        """A float32 buffer would silently round the results."""
-        kernel, base, values = self._three_values(casestudy)
-        out = np.zeros(3, dtype=np.float32)
-        with pytest.raises(AnalysisError, match="out"):
-            self._perturbed(route, kernel, base, values, out)
-
-    @pytest.mark.parametrize("route", ["kernel", "arrays"])
-    @pytest.mark.parametrize("length", [2, 5])
-    def test_out_buffer_wrong_length_refused(self, casestudy, route, length):
-        """A longer buffer would come back with its stale tail in place."""
-        kernel, base, values = self._three_values(casestudy)
-        with pytest.raises(AnalysisError, match="out"):
-            self._perturbed(route, kernel, base, values, np.full(length, -1.0))
-
-    @pytest.mark.parametrize("route", ["kernel", "arrays"])
-    def test_out_buffer_filled_in_place(self, casestudy, route):
-        kernel, base, values = self._three_values(casestudy)
-        out = np.full(3, -1.0)
-        assert self._perturbed(route, kernel, base, values, out) is out
-        assert out.tolist() == kernel.evaluate_perturbed(base, 0, values).tolist()
-
-    @staticmethod
-    def _three_values(casestudy):
-        groups, table = casestudy
-        kernel = compile_structure(groups)
-        return kernel, kernel.probability_vector(table), np.array([0.2, 0.5, 0.9])
-
-    @staticmethod
-    def _perturbed(route, kernel, base, values, out):
-        """*route* ``"arrays"`` sweeps a kernel rebuilt from its flat
-        arrays (the store's warm-start shape)."""
-        if route == "arrays":
-            kernel = AvailabilityKernel.from_flat(
-                *kernel.flat_arrays(), kernel._group_pos, kernel.variables
-            )
-        return kernel.evaluate_perturbed(base, 0, values, out=out)
 
 
 class TestFromFlat:

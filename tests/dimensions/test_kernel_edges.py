@@ -38,10 +38,9 @@ class TestConstantRootKernel:
 
     def test_evaluate_many_with_out(self, kernel):
         matrix = np.array([[0.0], [0.25], [1.0]])
-        out = np.empty(3, dtype=np.float64)
-        result = kernel.evaluate_many(matrix, out=out)
-        assert result is out
-        assert np.all(out == 1.0)
+        result = kernel.evaluate_many(matrix)
+        assert result.shape == (3,)
+        assert np.all(result == 1.0)
 
     def test_evaluate_many_all(self, kernel):
         roots, groups = kernel.evaluate_many_all(np.array([[0.1], [0.9]]))
@@ -62,29 +61,12 @@ class TestSingleVariableKernel:
         swept = kernel.evaluate_perturbed(base, 0, values)
         assert np.allclose(swept, values, atol=0)
 
-    def test_evaluate_perturbed_out_and_batching(self, kernel):
-        base = kernel.probability_vector({"a": 0.5})
-        values = np.linspace(0.0, 1.0, 11)
-        out = np.empty(11, dtype=np.float64)
-        result = kernel.evaluate_perturbed(
-            base, 0, values, batch_rows=3, out=out
-        )
-        assert result is out
-        assert np.allclose(out, values, atol=0)
-
     def test_evaluate_perturbed_validation(self, kernel):
         base = kernel.probability_vector({"a": 0.5})
         with pytest.raises(AnalysisError, match="out of range"):
             kernel.evaluate_perturbed(base, 1, np.array([0.5]))
         with pytest.raises(AnalysisError, match="shape"):
             kernel.evaluate_perturbed(np.array([0.5, 0.5]), 0, np.array([0.5]))
-
-    def test_evaluate_many_out_validation(self, kernel):
-        matrix = np.array([[0.5], [0.75]])
-        with pytest.raises(AnalysisError, match="float64"):
-            kernel.evaluate_many(matrix, out=np.empty(2, dtype=np.float32))
-        with pytest.raises(AnalysisError, match=r"\(2,\)"):
-            kernel.evaluate_many(matrix, out=np.empty(3, dtype=np.float64))
 
     def test_evaluate_many_all_empty_and_shapes(self, kernel):
         roots, groups = kernel.evaluate_many_all(

@@ -142,20 +142,6 @@ class TestContainer:
         path.write_bytes(bytes(blob))
         with pytest.raises(StoreError, match="digest"):
             open_artifact(path)
-        # verification is opt-out for scratch files the writer just wrote
-        assert open_artifact(path, verify=False).kind == "k"
-
-    def test_digest_free_scratch_file(self, tmp_path):
-        """A scratch file written without the payload hash reads back
-        bit-exact unverified, and never passes verification."""
-        path = tmp_path / "artifact"
-        arrays = sample_arrays()
-        write_artifact_file(path, "k", (), arrays, digest=False)
-        artifact = open_artifact(path, verify=False)
-        for name, original in arrays.items():
-            assert np.array_equal(artifact.arrays[name], original)
-        with pytest.raises(StoreError, match="digest"):
-            open_artifact(path)
 
     def test_bad_magic_raises(self, tmp_path):
         path = tmp_path / "artifact"

@@ -20,6 +20,7 @@ from repro.workload import (
     evaluate_population,
     evaluate_population_naive,
 )
+from repro.workload.plane import _sorted_percentile
 
 CLASSES = (
     UserClass("std", weight=4, device_availability=0.98, jitter=0.05),
@@ -120,6 +121,7 @@ class TestReport:
             )
 
 
+@pytest.mark.population
 class TestEquivalence:
     """The acceptance property: vectorized == scalar loop to 1e-12 for
     every user — case-study topology plus two generated families, with
@@ -196,18 +198,38 @@ def shannon_plane(family, size, seed):
     return topology, service, mapping_for, attachments
 
 
-SHANNON_CLASSES = CLASSES + (UserClass("plain"),)
-
 planes = st.tuples(
     st.sampled_from(["ring", "ladder", "campus", "er"]),
     st.integers(min_value=0, max_value=3),
     st.integers(min_value=0, max_value=2**16),
 )
 
+#: classes with or without a device override, jitter-free or jittered,
+#: under any weights
+user_classes = st.lists(
+    st.tuples(
+        st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0)),
+        st.one_of(
+            st.just(0.0),
+            st.floats(min_value=0.0, max_value=0.99, exclude_min=True),
+        ),
+        st.floats(min_value=1e-3, max_value=1e3),
+    ),
+    min_size=1,
+    max_size=4,
+).map(
+    lambda specs: tuple(
+        UserClass(f"c{i}", weight=weight, device_availability=device, jitter=jitter)
+        for i, (device, jitter, weight) in enumerate(specs)
+    )
+)
+
 
 class TestShannonExpansion:
-    """``A0 + d·(A1 − A0)`` per key against the per-user scalar oracle."""
+    """``A0 + d·(A1 − A0)`` per key, folded into one affine rule per
+    (class, attachment) group, against the per-user scalar oracle."""
 
+    @pytest.mark.population
     @settings(
         max_examples=30,
         deadline=None,
@@ -215,13 +237,14 @@ class TestShannonExpansion:
     )
     @given(
         plane=planes,
+        classes=user_classes,
         include_links=st.booleans(),
         reorder=st.sampled_from(["none", "sift"]),
     )
-    def test_matches_naive_oracle(self, plane, include_links, reorder):
+    def test_matches_naive_oracle(self, plane, classes, include_links, reorder):
         topology, service, mapping_for, attachments = shannon_plane(*plane)
         population = Population.generate(
-            300, SHANNON_CLASSES, attachments, seed=plane[2]
+            300, classes, attachments, seed=plane[2]
         )
         previous = configure_compile()["reorder"]
         configure_compile(reorder=reorder)
@@ -286,3 +309,95 @@ class TestShannonExpansion:
         report = evaluate_population(topology, service, mapping_for, population)
         assert report.keys == len(clients)
         assert report.rows == 2 * report.keys
+
+
+# -- exact class summaries and device annotations ------------------------------
+
+
+@pytest.mark.population
+class TestClassSummaries:
+    """Each class summary equals, with ``==``, the numpy statistics of
+    that class's per-user values: the plane reads its percentiles off one
+    sorted copy instead of calling ``np.percentile``."""
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [(1,), (2,), (1, 2), (3, 4), (7, 10, 0, 1), (101, 64, 2)],
+        ids=lambda sizes: "-".join(map(str, sizes)),
+    )
+    def test_summaries_equal_numpy_statistics(self, sizes):
+        topology, service, mapping_for, clients = generated_plane("campus")
+        classes = (
+            UserClass("jittered", device_availability=0.98, jitter=0.3),
+            UserClass("table", jitter=0.05),
+            UserClass("flat", device_availability=0.9),
+            UserClass("plain"),
+        )[: len(sizes)]
+        rng = np.random.default_rng(sum(sizes))
+        class_index = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        population = Population(
+            classes,
+            clients,
+            class_index,
+            rng.integers(0, len(clients), len(class_index)),
+            rng.random(len(class_index)),
+        )
+        report = evaluate_population(topology, service, mapping_for, population)
+        summaries = {s.name: s for s in report.class_summaries}
+        assert set(summaries) == {
+            c.name for c, size in zip(classes, sizes) if size
+        }
+        for ci, user_class in enumerate(classes):
+            values = report.availability[population.class_index == ci]
+            if not len(values):
+                continue
+            summary = summaries[user_class.name]
+            assert summary.users == len(values)
+            assert summary.mean == float(values.mean())
+            assert summary.minimum == float(values.min())
+            p50, p90, p99 = np.percentile(values, (50, 10, 1))
+            assert (summary.p50, summary.p90, summary.p99) == (p50, p90, p99)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.floats(min_value=0.0, max_value=1.0),
+                st.sampled_from([0.25, 0.5, 0.999]),
+            ),
+            min_size=1,
+            max_size=120,
+        )
+    )
+    def test_sorted_percentile_is_numpys_linear_rule(self, values):
+        ordered = np.sort(np.array(values))
+        for q in (0.5, 0.1, 0.01):
+            assert _sorted_percentile(ordered, q) == np.percentile(
+                ordered, 100 * q
+            )
+
+
+@pytest.mark.population
+def test_device_availability_is_the_per_user_formula():
+    """Pinned exactly: override (or the attachment's table value) times
+    ``1 − jitter · r_u``, clipped to [0, 1]."""
+    classes = (
+        UserClass("over", device_availability=0.97, jitter=0.1),
+        UserClass("table", jitter=0.2),
+        UserClass("plain"),
+        UserClass("fixed", device_availability=0.5),
+    )
+    population = Population.generate(500, classes, CLIENTS, seed=2)
+    table = {name: 0.9 + i / 1000 for i, name in enumerate(CLIENTS)}
+    expected = []
+    for ci, ai, r in zip(
+        population.class_index.tolist(),
+        population.attachment_index.tolist(),
+        population.jitter_unit.tolist(),
+    ):
+        user_class = classes[ci]
+        device = user_class.device_availability
+        if device is None:
+            device = table[CLIENTS[ai]]
+        expected.append(min(1.0, max(0.0, device * (1.0 - user_class.jitter * r))))
+    assert population.device_availability(table).tolist() == expected

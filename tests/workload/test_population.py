@@ -112,6 +112,12 @@ class TestPopulation:
             Population(
                 (std,), ("t1",), np.zeros(1), np.zeros(1), np.zeros(4)
             )
+        # the plane's affine rule needs r_u in [0, 1): no device clips
+        for bad in (1.0, -0.1, np.nan):
+            with pytest.raises(AnalysisError, match="jitter_unit out of range"):
+                Population(
+                    (std,), ("t1",), np.zeros(1), np.zeros(1), np.array([bad])
+                )
         with pytest.raises(AnalysisError, match="size must be >= 1"):
             Population.generate(0, (std,), CLIENTS)
 
