@@ -77,7 +77,7 @@ from repro.core.engine import (
     discover_delta_compiled,
 )
 from repro.core.pathdiscovery import PathSet
-from repro.errors import ReproError, TopologyError
+from repro.errors import AnalysisError, ReproError, TopologyError
 from repro.fanout import call_with_deadline
 from repro.network.topology import Topology
 from repro.obs import metrics as _metrics
@@ -271,6 +271,23 @@ class ChurnPolicy:
     backoff: float = 0.05
     coalesce_window: int = 8
     delta: bool = True
+
+    def __post_init__(self) -> None:
+        if self.deadline is not None and not self.deadline > 0:
+            raise AnalysisError(
+                f"churn deadline must be > 0 s or None, got {self.deadline}"
+            )
+        if self.max_retries < 0:
+            raise AnalysisError(
+                f"churn retries must be >= 0, got {self.max_retries}"
+            )
+        if not self.backoff >= 0:
+            raise AnalysisError(f"churn backoff must be >= 0, got {self.backoff}")
+        if self.coalesce_window < 1:
+            raise AnalysisError(
+                f"churn coalescing window must be >= 1, got "
+                f"{self.coalesce_window}"
+            )
 
 
 @dataclass(frozen=True)
@@ -1000,9 +1017,10 @@ class ChurnStream:
             if event is not None:
                 return event
         # pathological mirrors (everything down) fall back to a restore
-        if self._down:
-            return self._emit(1)  # type: ignore[return-value]
-        raise TopologyError("churn stream has no applicable events")
+        event = self._emit(1)
+        if event is None:
+            raise TopologyError("churn stream has no applicable events")
+        return event
 
     def _emit(self, kind: int) -> Optional[ChurnEvent]:
         if kind == 0:  # cut

@@ -485,19 +485,19 @@ class CompiledTopology:
         t: int,
         block: Sequence[int],
         adjacency: List[Optional[List[int]]],
-    ) -> Optional[Dict[int, List[Tuple[int, Tuple[str, ...], int, str]]]]:
+    ) -> Dict[int, List[Tuple[int, Tuple[str, ...], int, str]]]:
         """Smooth degree-2 chains of one block's subgraph.
 
         Returns, per *branch vertex* (block degree != 2, plus s and t),
         its condensed out-edges as ``(target id, interior names, links,
-        target name)`` in original neighbor order — or ``None`` when the
-        block has no chains to compress, so callers fall back to the
-        cheaper plain loop.  Interior vertices of a chain have exactly
-        two block neighbors, so traversal through them is forced:
-        simple s-t paths of the condensed multigraph correspond 1:1
-        (same emission order) to simple s-t paths of the block subgraph.
-        Branch-level on-path tracking suffices because a chain's
-        interior is reachable only through its two endpoints.
+        target name)`` in original neighbor order.  A block without
+        chains (a dense block) maps every link to an edge with an empty
+        interior, so one walk serves every block.  Interior vertices of
+        a chain have exactly two block neighbors, so traversal through
+        them is forced: simple s-t paths of the condensed multigraph
+        correspond 1:1 (same emission order) to simple s-t paths of the
+        block subgraph.  Branch-level on-path tracking suffices because
+        a chain's interior is reachable only through its two endpoints.
         """
         names = self.names
         is_branch = bytearray(self.n)
@@ -507,7 +507,6 @@ class CompiledTopology:
         is_branch[s] = 1
         is_branch[t] = 1
         condensed: Dict[int, List[Tuple[int, Tuple[str, ...], int, str]]] = {}
-        compressed_any = False
         for u in block:
             if not is_branch[u]:
                 continue
@@ -526,13 +525,33 @@ class CompiledTopology:
                     # never appear on a simple path (it would revisit u);
                     # the second clause is the walk-length safety valve
                     continue
-                if interior:
-                    compressed_any = True
                 edges.append(
                     (cur, tuple(interior), len(interior) + 1, names[cur])
                 )
             condensed[u] = edges
-        return condensed if compressed_any else None
+        return condensed
+
+    def _plan(
+        self, s: int, t: int, max_depth: Optional[int]
+    ) -> Optional[Tuple[List[Tuple[int, int, Sequence[int]]], int, int]]:
+        """The preamble every s-t query shares: ``(segments, limit, cap)``.
+
+        *limit* bounds a path's links (``max_depth``, else the node
+        count, which no simple path reaches).  *cap* bounds any one
+        segment's links: each of the other segments contributes at
+        least one.  *segments* is empty when s == t — the one trivial
+        path, whatever the bound.  ``None`` means no s-t path fits.
+        """
+        limit = max_depth if max_depth is not None else self.n
+        if s == t:
+            return [], limit, limit
+        segments = self.segments(s, t) if limit >= 1 else None
+        if segments is None:
+            return None
+        cap = limit - (len(segments) - 1)
+        if cap < 1:
+            return None
+        return segments, limit, cap
 
     def iter_names(
         self,
@@ -556,18 +575,18 @@ class CompiledTopology:
 
         This is the route for consumers that may stop early
         (``max_paths``, :func:`iterate`): pulling one path from an
-        astronomically large space stays cheap.  Full enumerations go
-        through :func:`_enumerate`, which splices memoized block lists.
+        astronomically large space stays cheap.  A single-block query
+        streams :meth:`_iter_block` straight through; full enumerations
+        go through :func:`_enumerate`, which splices memoized block
+        lists.
         """
+        plan = self._plan(s, t, max_depth)
+        if plan is None:
+            return
+        segments, limit, cap = plan
         names = self.names
-        if s == t:
+        if not segments:
             yield (names[s],)
-            return
-        limit = max_depth if max_depth is not None else self.n
-        if limit < 1:
-            return
-        segments = self.segments(s, t)
-        if segments is None:
             return
         if len(segments) == 1:
             entry, exit_, block = segments[0]
@@ -578,12 +597,7 @@ class CompiledTopology:
         # Each block is enumerated at most once (a replay memo feeds the
         # later passes) and only as far as the consumer demands, so
         # pulling one path from an astronomically large space stays
-        # cheap.  Each of the other segments contributes at least one
-        # link, which bounds any single segment's useful depth.
-        k = len(segments)
-        cap = limit - (k - 1)
-        if cap < 1:
-            return
+        # cheap.
         bounded = limit < self.n
         sources: List[Iterable[Tuple[str, ...]]] = []
         for entry, exit_, block in segments:
@@ -593,7 +607,7 @@ class CompiledTopology:
                 sources.append(
                     _Replay(self._iter_block(entry, exit_, block, cap))
                 )
-        last = k - 1
+        last = len(segments) - 1
 
         def emit(
             i: int, prefix: Tuple[str, ...], links: int
@@ -611,41 +625,17 @@ class CompiledTopology:
     def _iter_block(
         self, s: int, t: int, block: Sequence[int], limit: int
     ) -> Iterator[Tuple[str, ...]]:
-        """DFS enumeration of simple s-t paths within one block."""
+        """DFS enumeration of simple s-t paths within one block — the one
+        walk behind discovery, lazy iteration and counting."""
         names = self.names
-        adjacency = self._block_adjacency(block)
-        condensed = self._condense(s, t, block, adjacency)
+        condensed = self._condense(s, t, block, self._block_adjacency(block))
         on_path = bytearray(self.n)
         on_path[s] = 1
         flat = [names[s]]  # expanded on-path names, for O(len) emission
-        if condensed is None:
-            # plain loop: ids on the stack, names appended as we go
-            t_name = names[t]
-            id_stack = [s]
-            stack = [iter(adjacency[s])]  # type: ignore[arg-type]
-            while stack:
-                v = next(stack[-1], -1)
-                if v < 0:
-                    stack.pop()
-                    flat.pop()
-                    on_path[id_stack.pop()] = 0
-                    continue
-                if on_path[v]:
-                    continue
-                if v == t:
-                    yield (*flat, t_name)
-                    continue
-                if len(flat) >= limit:
-                    continue
-                flat.append(names[v])
-                on_path[v] = 1
-                id_stack.append(v)
-                stack.append(iter(adjacency[v]))  # type: ignore[arg-type]
-            return
-        # Condensed loop.  Depth bookkeeping mirrors the seed exactly: a
-        # finished path may carry at most `limit` links, and any
-        # non-terminal prefix at most `limit - 1` (the seed blocks
-        # appends once len(path) reaches the limit).
+        # Depth bookkeeping mirrors the seed exactly: a finished path may
+        # carry at most `limit` links, and any non-terminal prefix at most
+        # `limit - 1` (the seed blocks appends once len(path) reaches the
+        # limit).
         interior_limit = limit - 1
         links_so_far = 0
         span_stack: List[Tuple[int, int]] = []  # (nodes appended, vertex id)
@@ -685,134 +675,64 @@ class CompiledTopology:
         max_depth: Optional[int] = None,
         budget: Optional[int] = None,
     ) -> int:
-        """Count simple s-t paths without materializing them.
+        """Count simple s-t paths without storing them.
 
-        Counting skips path emission entirely, so on compressible
-        topologies it is bounded by condensed DFS steps, not by total
-        path length.  On multi-block queries the count is the product of
-        per-block counts (a length-distribution convolution when a depth
-        limit applies), so it never enumerates cross-block combinations.
-        Returns ``-1`` as soon as the count exceeds *budget* (the caller
-        owns the error message).
+        The count is the product of per-block counts, each walked by
+        :meth:`_iter_block` (a length-distribution convolution when a
+        depth limit can cut a combination of blocks), so it never
+        enumerates cross-block combinations.  A single-block query is
+        the one-factor product, bounded or not.  Returns ``-1`` as soon
+        as the count provably exceeds *budget* (the caller owns the
+        error message).
         """
-        if s == t:
-            return 1
-        limit = max_depth if max_depth is not None else self.n
-        if limit < 1:
+        plan = self._plan(s, t, max_depth)
+        if plan is None:
             return 0
-        segments = self.segments(s, t)
-        if segments is None:
-            return 0
-        if len(segments) > 1:
-            k = len(segments)
-            cap = limit - (k - 1)
-            if cap < 1:
-                return 0
-            if limit >= self.n:
-                total = 1
-                for entry, exit_, block in segments:
-                    if len(block) == 2:
-                        continue  # a bridge contributes exactly one path
-                    block_count = 0
-                    for _ in self._iter_block(entry, exit_, block, cap):
-                        block_count += 1
-                        # every other segment multiplies this by >= 1,
-                        # so a single block overshooting the budget is
-                        # already conclusive — bail before enumerating
-                        # an astronomically large block to completion
-                        if budget is not None and block_count > budget:
-                            return -1
-                    if block_count == 0:
-                        return 0
-                    total *= block_count
-                    if budget is not None and total > budget:
-                        return -1
-                return total
-            # depth-limited: convolve per-block length distributions
-            dist: Dict[int, int] = {0: 1}
+        segments, limit, cap = plan
+        if len(segments) <= 1 or limit >= self.n:
+            total = 1
             for entry, exit_, block in segments:
                 if len(block) == 2:
-                    block_dist = {1: 1}
-                else:
-                    block_dist = {}
-                    for path in self._iter_block(entry, exit_, block, cap):
-                        links = len(path) - 1
-                        block_dist[links] = block_dist.get(links, 0) + 1
-                if not block_dist:
-                    return 0
-                next_dist: Dict[int, int] = {}
-                for have, ways in dist.items():
-                    for links, count_ in block_dist.items():
-                        d = have + links
-                        if d <= limit:
-                            next_dist[d] = next_dist.get(d, 0) + ways * count_
-                dist = next_dist
-                if not dist:
-                    return 0
-            total = sum(dist.values())
-            if budget is not None and total > budget:
-                return -1
-            return total
-        _, _, block = segments[0]
-        adjacency = self._block_adjacency(block)
-        condensed = self._condense(s, t, block, adjacency)
-        on_path = bytearray(self.n)
-        on_path[s] = 1
-        total = 0
-        if condensed is None:
-            depth = 0
-            id_stack = [s]
-            stack = [iter(adjacency[s])]  # type: ignore[arg-type]
-            while stack:
-                v = next(stack[-1], -1)
-                if v < 0:
-                    stack.pop()
-                    depth -= 1
-                    on_path[id_stack.pop()] = 0
-                    continue
-                if on_path[v]:
-                    continue
-                if v == t:
-                    total += 1
-                    if budget is not None and total > budget:
+                    continue  # a bridge contributes exactly one path
+                block_count = 0
+                for _ in self._iter_block(entry, exit_, block, cap):
+                    block_count += 1
+                    # every other segment multiplies this by >= 1, so a
+                    # single block overshooting the budget is already
+                    # conclusive — bail before enumerating an
+                    # astronomically large block to completion
+                    if budget is not None and block_count > budget:
                         return -1
-                    continue
-                if depth + 1 >= limit:
-                    continue
-                depth += 1
-                on_path[v] = 1
-                id_stack.append(v)
-                stack.append(iter(adjacency[v]))  # type: ignore[arg-type]
+                if block_count == 0:
+                    return 0
+                total *= block_count
+                if budget is not None and total > budget:
+                    return -1
             return total
-        interior_limit = limit - 1
-        links_so_far = 0
-        span_stack: List[Tuple[int, int]] = []
-        stack = [iter(condensed[s])]
-        while stack:
-            edge = next(stack[-1], None)
-            if edge is None:
-                stack.pop()
-                if span_stack:
-                    span, vid = span_stack.pop()
-                    on_path[vid] = 0
-                    links_so_far -= span
-                continue
-            vid, _interior, links, _vname = edge
-            if on_path[vid]:
-                continue
-            depth = links_so_far + links
-            if vid == t:
-                if depth <= limit:
-                    total += 1
-                    if budget is not None and total > budget:
-                        return -1
-                continue
-            if depth > interior_limit:
-                continue
-            links_so_far = depth
-            on_path[vid] = 1
-            span_stack.append((links, vid))
-            stack.append(iter(condensed[vid]))
+        # depth-limited: convolve per-block length distributions
+        dist: Dict[int, int] = {0: 1}
+        for entry, exit_, block in segments:
+            if len(block) == 2:
+                block_dist = {1: 1}
+            else:
+                block_dist = {}
+                for path in self._iter_block(entry, exit_, block, cap):
+                    links = len(path) - 1
+                    block_dist[links] = block_dist.get(links, 0) + 1
+            if not block_dist:
+                return 0
+            next_dist: Dict[int, int] = {}
+            for have, ways in dist.items():
+                for links, count_ in block_dist.items():
+                    d = have + links
+                    if d <= limit:
+                        next_dist[d] = next_dist.get(d, 0) + ways * count_
+            dist = next_dist
+            if not dist:
+                return 0
+        total = sum(dist.values())
+        if budget is not None and total > budget:
+            return -1
         return total
 
 
@@ -1076,19 +996,14 @@ def _enumerate(
                     result.truncated = True
                 break
         return result
-    if s == t:
+    plan = compiled._plan(s, t, max_depth)
+    if plan is None:
+        return result
+    segments, limit, cap = plan
+    if not segments:
         result.paths.append((compiled.names[s],))
         return result
-    limit = compiled.n if max_depth is None else max_depth
-    segments = compiled.segments(s, t) if limit >= 1 else None
-    if segments is None:
-        return result
     k = len(segments)
-    # each of the other segments contributes at least one link, which
-    # bounds any single segment's useful depth
-    cap = limit - (k - 1)
-    if cap < 1:
-        return result
     memo = memo and max_depth is None
     per_segment = []
     for entry, exit_, block in segments:

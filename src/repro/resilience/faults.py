@@ -38,16 +38,12 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
+from repro.dependability.cutsets import link_component_name
 from repro.errors import FaultPlanError
 
 __all__ = ["Fault", "FaultPlan", "FAULT_KINDS"]
 
 FAULT_KINDS = ("crash", "cut", "flap", "degrade")
-
-
-def _link_name(a: str, b: str) -> str:
-    """Canonical ``a|b`` link label (matches dependability cut-set names)."""
-    return f"{a}|{b}" if a <= b else f"{b}|{a}"
 
 
 @dataclass(frozen=True)
@@ -82,7 +78,7 @@ class Fault:
                 )
         if self.kind in ("cut", "degrade") and sep and a and b:
             # a link is one component whichever end is typed first
-            object.__setattr__(self, "target", _link_name(a, b))
+            object.__setattr__(self, "target", link_component_name(a, b))
         if self.kind == "flap":
             if self.seed is None:
                 raise FaultPlanError(

@@ -29,9 +29,10 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Dict, List, Set, Tuple
 
+from repro.dependability.cutsets import link_component_name
 from repro.errors import FaultPlanError, TopologyError
 from repro.network.topology import Topology
-from repro.resilience.faults import FaultPlan, _link_name
+from repro.resilience.faults import FaultPlan
 from repro.uml.objects import InstanceSpecification, Link
 
 __all__ = ["FaultOverlayTopology"]
@@ -39,7 +40,7 @@ __all__ = ["FaultOverlayTopology"]
 
 def link_names(topology: Topology) -> Set[str]:
     """Canonical ``a|b`` names of every link of *topology*."""
-    return {_link_name(a, b) for a, b in topology.edges()}
+    return {link_component_name(a, b) for a, b in topology.edges()}
 
 
 def check_plan(base: Topology, plan: FaultPlan, links: Set[str]) -> None:
@@ -101,7 +102,7 @@ class FaultOverlayTopology(Topology):
         return (
             a not in self._down
             and b not in self._down
-            and _link_name(a, b) not in self._cut
+            and link_component_name(a, b) not in self._cut
         )
 
     def neighbors(self, name: str) -> List[str]:
@@ -177,7 +178,7 @@ class FaultOverlayTopology(Topology):
         return super().node_property(name, attribute)
 
     def link_property(self, a: str, b: str, attribute: str) -> Any:
-        override = self._overrides.get(_link_name(a, b))
+        override = self._overrides.get(link_component_name(a, b))
         if override is not None and attribute in override:
             self.link_between(a, b)  # membership check (cut links are gone)
             return override[attribute]
@@ -213,7 +214,7 @@ class FaultOverlayTopology(Topology):
             [
                 (a, b)
                 for a, b in list(graph.edges)
-                if _link_name(a, b) in self._cut
+                if link_component_name(a, b) in self._cut
             ]
         )
         return graph

@@ -35,12 +35,12 @@ from typing import AbstractSet, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.engine import discover
 from repro.core.pathdiscovery import PathSet
+from repro.dependability.cutsets import link_component_name
 from repro.errors import PathDiscoveryTimeout
 from repro.fanout import call_with_deadline
 from repro.network.topology import Topology
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.resilience.faults import _link_name
 from repro.resilience.overlay import FaultOverlayTopology
 
 __all__ = [
@@ -175,7 +175,7 @@ def _adjacency(topology: Topology) -> Dict[str, List[Tuple[str, str]]]:
     adjacency :func:`_nearest_cut` walks, built once per base."""
     return {
         node: [
-            (neighbor, _link_name(node, neighbor))
+            (neighbor, link_component_name(node, neighbor))
             for neighbor in topology.neighbors(node)
         ]
         for node in topology.nodes()

@@ -28,7 +28,7 @@ from repro.core.churn import (
 )
 from repro.core.engine import block_cache_clear, path_cache_clear
 from repro.dependability.bdd import kernel_cache_clear
-from repro.errors import PathDiscoveryError, TopologyError
+from repro.errors import AnalysisError, PathDiscoveryError, TopologyError
 from repro.network.generators import (
     balanced_tree,
     campus,
@@ -242,6 +242,45 @@ class TestChurnStream:
             weights=(1, 1, 1, 0, 0, 10, 10),
         ).events(50)
         assert any(isinstance(e, (MigrateProvider, MoveUser)) for e in mobile)
+
+    def test_exhausted_stream_raises_instead_of_yielding_none(self):
+        # crash-only weights: once every non-endpoint node is down, each
+        # down link touches a crashed node, so nothing is applicable
+        stream = ChurnStream(
+            ring(6).object_model, PAIRS, weights=(0, 0, 0, 1, 0, 0, 0)
+        )
+        events = stream.events(8)
+        head = [next(events) for _ in range(6)]
+        assert all(isinstance(e, ComponentCrash) for e in head)
+        with pytest.raises(TopologyError, match="no applicable events"):
+            next(events)
+
+
+class TestChurnPolicy:
+    def test_boundary_values_accepted(self):
+        policy = ChurnPolicy(
+            deadline=None, max_retries=0, backoff=0.0, coalesce_window=1
+        )
+        assert policy.max_retries == 0 and policy.coalesce_window == 1
+        assert ChurnPolicy(deadline=1e-9).deadline == 1e-9
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_retries": -1},
+            {"coalesce_window": 0},
+            {"coalesce_window": -3},
+            {"backoff": -0.01},
+            {"backoff": float("nan")},
+            {"deadline": 0.0},
+            {"deadline": -1.0},
+            {"deadline": float("nan")},
+        ],
+        ids=lambda kwargs: ",".join(f"{k}={v}" for k, v in kwargs.items()),
+    )
+    def test_out_of_range_rejected(self, kwargs):
+        with pytest.raises(AnalysisError):
+            ChurnPolicy(**kwargs)
 
 
 class TestStateSettingSemantics:

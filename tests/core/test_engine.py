@@ -9,9 +9,18 @@ Three layers of guarantees:
   so mutations invalidate implicitly and results are never stale;
 * **pipeline economy** — one pipeline run enumerates each mapping pair
   exactly once (Step 8 reuses the Step-7 results).
+
+The ``engine`` marker selects the differential part: the family
+equivalence classes plus the one-block-walk checks (a hypothesis
+differential over small generated graphs, dense blocks without chains,
+and the count budget at its boundary).
 """
 
+from itertools import combinations
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import engine
 from repro.core.engine import (
@@ -32,12 +41,14 @@ from repro.core.pathdiscovery import (
 )
 from repro.core.pipeline import MethodologyPipeline
 from repro.errors import PathDiscoveryError
+from repro.network.builder import TopologyBuilder
 from repro.network.generators import (
     balanced_tree,
     campus,
     complete,
     endpoints,
     erdos_renyi,
+    generic_specs,
     ladder,
     ring,
 )
@@ -73,6 +84,7 @@ def _fresh_cache():
     engine.block_cache_clear()
 
 
+@pytest.mark.engine
 @pytest.mark.parametrize("topo", FAMILY_TOPOS, ids=FAMILY_IDS)
 @pytest.mark.parametrize("max_depth", [None, 3, 5])
 class TestEquivalence:
@@ -128,6 +140,202 @@ def test_public_api_delegates_to_engine(usi_topo):
     assert discover_paths(usi_topo, "t1", "printS").paths == reference.paths
     assert list(iter_paths(usi_topo, "t1", "printS")) == reference.paths
     assert count_paths(usi_topo, "t1", "printS") == reference.count
+
+
+# -- the one block walk ------------------------------------------------------
+
+
+def _graph(n, edges):
+    """A topology over switches ``v0 .. v{n-1}`` with the given links."""
+    builder = TopologyBuilder("walk")
+    for spec in generic_specs():
+        builder.device_type(spec)
+    for i in range(n):
+        builder.add(f"v{i}", "DistSwitch")
+    for a, b in edges:
+        builder.connect(f"v{a}", f"v{b}")
+    return Topology(builder.object_model)
+
+
+def _assert_walk_matches_reference(topo, requester, provider, max_depth):
+    reference = discover_paths_reference(
+        topo, requester, provider, max_depth=max_depth
+    )
+    for use_cache in (False, True):  # plain walk, then the block memo
+        result = engine.discover(
+            topo, requester, provider, max_depth=max_depth,
+            use_cache=use_cache,
+        )
+        assert result.paths == reference.paths
+    lazy = engine.iterate(topo, requester, provider, max_depth=max_depth)
+    assert list(lazy) == reference.paths
+    assert (
+        engine.count(topo, requester, provider, max_depth=max_depth)
+        == reference.count
+    )
+
+
+@st.composite
+def _walk_queries(draw):
+    """(n, links, s, t, max_depth) over a simple graph with n <= 9.
+
+    Three shapes: dense (the complete graph minus a few links, so blocks
+    mostly have no degree-2 vertex and the walk condenses nothing),
+    sparse (chain-heavy), and a row of complete blocks glued at cut
+    vertices (a depth bound then cuts combinations across blocks).
+    """
+    n = draw(st.integers(2, 9))
+    pairs = list(combinations(range(n), 2))
+    shape = draw(st.sampled_from(["dense", "sparse", "blocks"]))
+    if shape == "dense":
+        dropped = set(draw(st.lists(st.sampled_from(pairs), max_size=n // 2)))
+        edges = [pair for pair in pairs if pair not in dropped]
+    elif shape == "sparse":
+        edges = draw(
+            st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)
+        )
+    else:
+        cuts = (
+            draw(st.lists(st.integers(1, n - 2), unique=True, max_size=3))
+            if n > 2
+            else []
+        )
+        bounds = [0, *sorted(cuts), n - 1]
+        edges = [
+            pair
+            for lo, hi in zip(bounds, bounds[1:])
+            for pair in combinations(range(lo, hi + 1), 2)
+        ]
+    s = draw(st.integers(0, n - 1))
+    t = draw(st.integers(0, n - 1))
+    max_depth = draw(st.one_of(st.none(), st.integers(1, n)))
+    return n, edges, s, t, max_depth
+
+
+@pytest.mark.engine
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(_walk_queries())
+def test_walk_differential_on_generated_graphs(query):
+    n, edges, s, t, max_depth = query
+    _assert_walk_matches_reference(_graph(n, edges), f"v{s}", f"v{t}", max_depth)
+
+
+#: Dense biconnected graphs without a degree-2 vertex: chain condensation
+#: has nothing to smooth, so every condensed edge is a single link.
+DENSE = {
+    "complete-6": (6, list(combinations(range(6), 2))),
+    "k33": (6, [(a, b) for a in range(3) for b in range(3, 6)]),
+    "wheel-7": (
+        7,
+        [(0, i) for i in range(1, 7)]
+        + [(i, i % 6 + 1) for i in range(1, 7)],
+    ),
+    # three K4 blocks glued at cut vertices v3 and v6
+    "k4-row": (
+        10,
+        [
+            pair
+            for lo in (0, 3, 6)
+            for pair in combinations(range(lo, lo + 4), 2)
+        ],
+    ),
+    "petersen": (
+        10,
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+    ),
+}
+
+
+@pytest.mark.engine
+@pytest.mark.parametrize("name", sorted(DENSE))
+def test_dense_block_walk(name):
+    n, edges = DENSE[name]
+    topo = _graph(n, edges)
+    compiled = compile_topology(topo)
+    s, t = compiled.node_id("v1"), compiled.node_id(f"v{n - 1}")
+    for entry, exit_, block in compiled.segments(s, t):
+        condensed = compiled._condense(
+            entry, exit_, block, compiled._block_adjacency(block)
+        )
+        assert all(
+            not interior
+            for out_edges in condensed.values()
+            for _, interior, _, _ in out_edges
+        )
+    for max_depth in (None, *range(1, n + 1)):
+        _assert_walk_matches_reference(topo, "v1", f"v{n - 1}", max_depth)
+
+
+def _campus_dual():
+    return Topology(
+        campus(
+            dist_switches=3, edges_per_dist=2, clients_per_edge=2,
+            dual_homed=True,
+        ).object_model
+    )
+
+
+@pytest.mark.engine
+@pytest.mark.parametrize(
+    "make, requester, provider, max_depth, blocks",
+    [
+        # one block (sw0 and sw5 are both inside the complete core)
+        (lambda: Topology(complete(6).object_model), "sw0", "sw5", None, 1),
+        # a chain of blocks: bridges around the dual-homed core
+        (_campus_dual, "client", "server", None, 3),
+        # depth-bounded, single block and across blocks (the bound cuts
+        # combinations of the three K4 blocks)
+        (lambda: Topology(complete(6).object_model), "sw0", "sw5", 3, 1),
+        (lambda: _graph(*DENSE["k4-row"]), "v0", "v9", 5, 3),
+    ],
+    ids=["single-block", "multi-block", "bounded-single", "bounded-multi"],
+)
+def test_count_budget_boundary(make, requester, provider, max_depth, blocks):
+    topo = make()
+    compiled = compile_topology(topo)
+    segments = compiled.segments(
+        compiled.node_id(requester), compiled.node_id(provider)
+    )
+    assert len(segments) == blocks
+    c = discover_paths_reference(
+        topo, requester, provider, max_depth=max_depth
+    ).count
+    assert c > 1
+    assert (
+        engine.count(topo, requester, provider, max_depth=max_depth, budget=c)
+        == c
+    )
+    with pytest.raises(PathDiscoveryError, match="budget"):
+        engine.count(
+            topo, requester, provider, max_depth=max_depth, budget=c - 1
+        )
+
+
+@pytest.mark.engine
+@pytest.mark.parametrize("max_depth", [None, 6])
+def test_count_budget_exits_early_on_one_block(monkeypatch, max_depth):
+    """Over budget, a single-block count stops one path past the budget
+    instead of walking the block's ~2,000 sw0-sw7 paths to the end."""
+    walk = CompiledTopology._iter_block
+    pulled = []
+
+    def counting_walk(self, *args):
+        for path in walk(self, *args):
+            pulled.append(path)
+            yield path
+
+    monkeypatch.setattr(CompiledTopology, "_iter_block", counting_walk)
+    compiled = compile_topology(Topology(complete(8).object_model))
+    s, t = compiled.node_id("sw0"), compiled.node_id("sw7")
+    assert len(compiled.segments(s, t)) == 1
+    assert compiled.count_simple_paths(s, t, max_depth=max_depth, budget=10) == -1
+    assert len(pulled) == 11
 
 
 class TestCompiledTopology:

@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 
 from repro.casestudy import CLIENTS, PRINTERS, printing_mapping
 from repro.core import ServiceMapping, ServiceMappingPair, generate_upsim
+from repro.dependability.cutsets import link_component_name
 from repro.network import Topology
 from repro.network.generators import campus, complete, erdos_renyi, ladder, ring
 from repro.resilience import FaultPlan, Fault
-from repro.resilience.faults import _link_name
 from repro.resilience.runner import _adjacency, _nearest_cut
 from repro.services import AtomicService, CompositeService
 from tests.oracles.campaign_overlay import assert_conditioning_matches_overlay
@@ -153,8 +153,8 @@ def _brute_force_cut(topology, down, cut, requester):
         for neighbor in topology.neighbors(node):
             if neighbor in down:
                 found.add(neighbor)
-            elif _link_name(node, neighbor) in cut:
-                found.add(_link_name(node, neighbor))
+            elif link_component_name(node, neighbor) in cut:
+                found.add(link_component_name(node, neighbor))
     return tuple(sorted(found))
 
 
@@ -162,7 +162,7 @@ def _brute_force_cut(topology, down, cut, requester):
 @given(topology=topologies, data=st.data())
 def test_nearest_cut_matches_overlay_walk(topology, data):
     nodes = sorted(topology.nodes())
-    links = sorted({_link_name(a, b) for a, b in topology.edges()})
+    links = sorted({link_component_name(a, b) for a, b in topology.edges()})
     down = set(data.draw(st.lists(st.sampled_from(nodes), max_size=3)))
     cut = set(data.draw(st.lists(st.sampled_from(links), max_size=3)))
     requester = data.draw(st.sampled_from(nodes))

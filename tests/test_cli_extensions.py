@@ -234,6 +234,18 @@ class TestChurn:
         code = main(["churn", "--pairs", "500"])
         assert code == 8  # TopologyError
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--retries", "-1"), ("--deadline", "-1"), ("--deadline", "0"),
+         ("--window", "-3"), ("--window", "0")],
+    )
+    def test_out_of_range_policy_rejected(self, capsys, flag, value):
+        code = main(["churn", "--events", "20", flag, value])
+        assert code == 12  # AnalysisError, like --events
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no report from a run that never ran
+        assert "churn" in captured.err
+
 
 class TestStoreCommand:
     @pytest.fixture(autouse=True)
