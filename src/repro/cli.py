@@ -707,10 +707,9 @@ def cmd_churn(args: argparse.Namespace) -> int:
         coalesce_window=args.window,
         delta=not args.full,
     )
-    # the incremental kernel only understands explicit sift-at-epoch
-    # ("auto" is a compile_structure policy, meaningless mid-churn)
-    churn_reorder = "sift" if getattr(args, "reorder", None) == "sift" else "none"
-    evaluator = LiveEvaluator(model, pairs, policy=policy, reorder=churn_reorder)
+    evaluator = LiveEvaluator(
+        model, pairs, policy=policy, reorder=getattr(args, "reorder", None) or "none"
+    )
     stream = ChurnStream(model, pairs, seed=args.seed)
     report = evaluator.run(stream.events(args.events))
     if args.json:

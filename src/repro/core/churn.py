@@ -1,11 +1,11 @@
-"""Live-churn engine: delta-aware recomputation with graceful degradation.
+"""Live-churn engine: conditioned recomputation with graceful degradation.
 
 :mod:`repro.core.dynamics` models *planned* changes: one operation, one
 full pipeline re-run, caller handles failures.  A live network is not
 that polite — links flap in bursts, components crash mid-evaluation, and
 the paper's Section V-A3 efficiency claim ("dynamic system changes
 [handled] by updating only individual models") only pays off if an event
-recomputes *only what it touched*.  This module is that claim under
+costs far less than a fresh evaluation.  This module is that claim under
 load:
 
 * :class:`ChurnStream` — a deterministic, seeded generator of churn
@@ -14,16 +14,21 @@ load:
   always yields the same event sequence, so delta and full-recompile
   runs are comparable event for event.
 * :class:`LiveEvaluator` — applies events to the model and re-derives
-  path sets + availabilities through the delta path:
-  :func:`repro.core.engine.discover_delta_compiled` re-enumerates only
-  the biconnected blocks an edge/node change touched (content-addressed
-  block cache), and
-  :class:`repro.dependability.bdd.IncrementalAvailabilityKernel`
-  re-derives only the BDD groups whose path sets changed.
+  availabilities by **conditioning one nominal structure**.  Every state
+  a stream produces is the nominal model minus a *down set* of nodes and
+  links, and the simple paths of a subgraph are exactly the nominal
+  paths that avoid the removed elements.  So an epoch only computes the
+  down set, drops the pairs none of whose path bitmasks survive, and
+  evaluates one row of the nominal kernel with the down columns at 0 —
+  the row rule of :func:`repro.analysis.whatif.conditional_availabilities`.
+  The nominal (path sets, compiled kernel, Formula-1 vector, path masks)
+  is rebuilt — a *rebase* — only when the pairs change or the model
+  holds an element the nominal lacks.
 * **Epoch snapshots** — readers always see a consistent
-  :class:`EpochSnapshot` (path sets + availabilities computed from one
-  model state); a snapshot is swapped in atomically only when its
-  recompute finished inside the deadline.
+  :class:`EpochSnapshot` (availabilities computed from one model state,
+  path sets enumerated on that state's frozen compiled topology the
+  first time they are read); a snapshot is swapped in atomically only
+  when its recompute finished inside the deadline.
 * **Graceful degradation** — a recompute that overruns its per-event
   deadline is abandoned (daemon worker, never adopted) and the evaluator
   keeps serving the last-good epoch *explicitly flagged stale*, with the
@@ -38,11 +43,11 @@ load:
   never fatal and never leaves the model half-mutated.
 
 Thread-safety of abandoned workers: the mutating thread compiles the
-topology (CSR arrays + fingerprint — a consistent frozen snapshot) and
-snapshots the availability table *before* handing work to the
-deadline-bounded worker, so an abandoned worker never reads the live
-model and can only populate content-addressed caches with entries that
-are correct for the fingerprint they are keyed under.
+topology (CSR arrays + fingerprint — a consistent frozen snapshot),
+computes the down set against the nominal and, for a rebase, the
+availability table *before* handing work to the deadline-bounded
+worker, so an abandoned worker never reads the live model; a nominal it
+builds is adopted only with its epoch.
 
 Every stage emits ``dynamics.*`` trace spans and ``repro_dynamics_*``
 metrics through :mod:`repro.obs`; ``upsim churn`` drives the whole loop
@@ -54,6 +59,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections.abc import Mapping as _MappingABC
 from dataclasses import dataclass, field
 from functools import partial
 from typing import (
@@ -70,12 +76,7 @@ from typing import (
 
 import numpy as np
 
-from repro.core.engine import (
-    CompiledTopology,
-    _enumerate,
-    compile_topology,
-    discover_delta_compiled,
-)
+from repro.core.engine import CompiledTopology, _enumerate, compile_topology
 from repro.core.pathdiscovery import PathSet
 from repro.errors import AnalysisError, ReproError, TopologyError
 from repro.fanout import call_with_deadline
@@ -262,8 +263,9 @@ class ChurnPolicy:
     and rolled back.  While degraded, up to ``coalesce_window`` events
     are absorbed per edge/entity before the next catch-up attempt.
     ``delta=False`` turns the evaluator into its own full-recompile
-    oracle: fresh topology compilation, uncached enumeration and a fresh
-    BDD per event — the equivalence baseline for tests and benchmarks.
+    oracle: fresh topology compilation, uncached enumeration, Formula 1
+    and a fresh BDD per event — the equivalence baseline for tests and
+    benchmarks.
     """
 
     deadline: Optional[float] = None
@@ -293,7 +295,11 @@ class ChurnPolicy:
 @dataclass(frozen=True)
 class EpochSnapshot:
     """One internally-consistent result set: every field derives from the
-    same model state (identified by ``fingerprint``)."""
+    same model state (identified by ``fingerprint``).
+
+    ``path_sets`` is a read-only mapping; on the delta route each pair's
+    list is enumerated on the epoch's frozen compiled topology the first
+    time it is read (a conditioned epoch never needs the lists)."""
 
     epoch: int
     fingerprint: str
@@ -397,6 +403,11 @@ _M_COALESCED = _metrics.counter(
 _M_RECOMPUTES = _metrics.counter(
     "repro_dynamics_recomputes_total", "Delta recompute attempts"
 )
+_M_REBASES = _metrics.counter(
+    "repro_dynamics_rebases_total",
+    "Adopted epochs that rebuilt the nominal structure instead of "
+    "conditioning it",
+)
 _M_EPOCHS = _metrics.counter(
     "repro_dynamics_epochs_total", "Consistent epochs published"
 )
@@ -423,21 +434,166 @@ _H_RECOMPUTE = _metrics.histogram(
 # ---------------------------------------------------------------------------
 
 
+def _elements(compiled: CompiledTopology) -> Iterator[str]:
+    """Every node, then every link (named as :func:`link_component_name`
+    names it), of a frozen compiled topology."""
+    from repro.dependability.cutsets import link_component_name
+
+    names, indptr, indices = compiled.names, compiled.indptr, compiled.indices
+    yield from names
+    for i, name in enumerate(names):
+        for j in indices[indptr[i] : indptr[i + 1]]:
+            if j > i:
+                yield link_component_name(name, names[j])
+
+
+class _Nominal:
+    """The structure conditioned epochs evaluate, built once per rebase
+    from one frozen model state.
+
+    ``bits`` numbers the state's elements; each distinct unordered pair
+    keeps its paths as bitmasks over them (``masks``), and the pairs with
+    paths share one memoized kernel (``compile_structure``, honouring
+    *reorder*) plus its Formula-1 probability ``vector``.  Never mutated
+    after construction, so an abandoned worker may hold one.
+    """
+
+    __slots__ = ("pairs", "bits", "path_sets", "keys", "masks", "group",
+                 "kernel", "vector")
+
+    def __init__(
+        self,
+        compiled: CompiledTopology,
+        pairs: Tuple[Tuple[str, str], ...],
+        availabilities: Mapping[str, float],
+        reorder: str,
+    ):
+        from repro.dependability.bdd import compile_structure, order_from_compiled
+        from repro.dependability.cutsets import path_components
+
+        self.pairs = pairs
+        self.bits = {name: bit for bit, name in enumerate(_elements(compiled))}
+        self.path_sets = {
+            pair: _enumerate(compiled, *pair) for pair in dict.fromkeys(pairs)
+        }
+        # distinct unordered pairs, as in the pipeline (repeated pairs
+        # describe the same connectivity event — count once)
+        distinct: Dict[Tuple[str, str], PathSet] = {}
+        for pair, ps in self.path_sets.items():
+            distinct.setdefault(tuple(sorted(pair)), ps)
+        self.keys = tuple(distinct)
+        self.masks: List[Tuple[int, ...]] = []
+        self.group: Dict[Tuple[str, str], int] = {}
+        groups: List[List] = []
+        for key, ps in distinct.items():
+            sets = [path_components(path) for path in ps.paths]
+            self.masks.append(
+                tuple(sum(1 << self.bits[c] for c in path) for path in sets)
+            )
+            if sets:
+                self.group[key] = len(groups)
+                # sorted paths meet their near-duplicates early in the OR
+                # fold, which keeps the cold build's intermediates small
+                groups.append(sorted(sets, key=sorted))
+        self.kernel = self.vector = None
+        if groups:
+            components = {c for group in groups for path in group for c in path}
+            self.kernel = compile_structure(
+                groups,
+                order=order_from_compiled(compiled, components),
+                reorder=reorder,
+            )
+            self.vector = np.array(
+                [availabilities.get(v, 0.0) for v in self.kernel.variables],
+                dtype=np.float64,
+            )
+
+    def condition(
+        self, down: Iterable[str]
+    ) -> Tuple[float, Dict[Tuple[str, str], float], List[Tuple[str, str]]]:
+        """``(system, per-key availability, disconnected keys)`` with every
+        *down* element at 0: a key is disconnected when none of its path
+        masks survives, the rest come off one conditioned kernel row."""
+        gone = 0
+        for name in down:
+            gone |= 1 << self.bits[name]
+        disconnected = [
+            key
+            for key, masks in zip(self.keys, self.masks)
+            if not any(mask & gone == 0 for mask in masks)
+        ]
+        values = dict.fromkeys(disconnected, 0.0)
+        system = 0.0 if disconnected else 1.0
+        if self.kernel is not None:
+            row = self.vector.copy()
+            index = self.kernel.index
+            row[[index[name] for name in down if name in index]] = 0.0
+            sys_av, group_avs = self.kernel.evaluate_vector(row)
+            if not disconnected:
+                system = sys_av
+            for key, slot in self.group.items():
+                values.setdefault(key, group_avs[slot])
+        return system, values, disconnected
+
+
+class _PathSetView(_MappingABC):
+    """An epoch's path sets as a read-only mapping: each pair's list is
+    enumerated on the epoch's frozen compiled topology the first time it
+    is read (seeded with lists already in hand)."""
+
+    __slots__ = ("_compiled", "_paths")
+
+    def __init__(
+        self,
+        compiled: CompiledTopology,
+        pairs: Iterable[Tuple[str, str]],
+        known: Optional[Mapping[Tuple[str, str], PathSet]] = None,
+    ):
+        self._compiled = compiled
+        self._paths: Dict[Tuple[str, str], Optional[PathSet]] = dict.fromkeys(
+            pairs
+        )
+        if known:
+            self._paths.update(known)
+
+    def __getitem__(self, pair: Tuple[str, str]) -> PathSet:
+        path_set = self._paths[pair]
+        if path_set is None:
+            # racing first reads enumerate the same list from the same
+            # frozen arrays; whichever store lands is the same value
+            path_set = self._paths[pair] = _enumerate(self._compiled, *pair)
+        return path_set
+
+    def __contains__(self, pair: object) -> bool:
+        return pair in self._paths
+
+    def __iter__(self) -> Iterator[Tuple[str, str]]:
+        return iter(self._paths)
+
+    def __len__(self) -> int:
+        return len(self._paths)
+
+
 class _Computed:
-    """One recompute's outputs, built entirely from frozen inputs."""
+    """One recompute's outputs, built entirely from frozen inputs (plus
+    the nominal a delta epoch conditioned, adopted with it)."""
 
     __slots__ = (
         "path_sets",
         "availability",
         "pair_availability",
         "disconnected",
+        "nominal",
     )
 
-    def __init__(self, path_sets, availability, pair_availability, disconnected):
+    def __init__(
+        self, path_sets, availability, pair_availability, disconnected, nominal
+    ):
         self.path_sets = path_sets
         self.availability = availability
         self.pair_availability = pair_availability
         self.disconnected = disconnected
+        self.nominal = nominal
 
 
 class LiveEvaluator:
@@ -465,14 +621,9 @@ class LiveEvaluator:
         self.topology = Topology(infrastructure)
         self.pairs: List[Tuple[str, str]] = [tuple(p) for p in pairs]
         self.policy = policy or ChurnPolicy()
-        # deferred import: dependability.bdd imports core.engine, whose
-        # package import chain loops back through this module
-        from repro.dependability.bdd import IncrementalAvailabilityKernel
-
-        # reorder="sift" sifts the manager at epoch boundaries (fresh
-        # build / garbage rebuild) only — in between, the stable order
-        # keeps every cached group root valid
-        self._kernel = IncrementalAvailabilityKernel(reorder=reorder)
+        #: reordering mode of the nominal kernel, applied at each rebase
+        self._reorder = reorder
+        self._nominal: Optional[_Nominal] = None
         self._lock = threading.Lock()
         self._snapshot: Optional[EpochSnapshot] = None
         self._epoch = 0
@@ -484,6 +635,7 @@ class LiveEvaluator:
             "applied": 0,
             "coalesced": 0,
             "recomputes": 0,
+            "rebases": 0,
             "deadline_misses": 0,
             "retries": 0,
         }
@@ -549,31 +701,50 @@ class LiveEvaluator:
         self._crashed[name] = (inst, links)
 
         def undo() -> None:
-            self._restore(name)
+            del self._crashed[name]
+            self.model.add_existing_instance(inst)
+            for link in links:
+                self.model.add_link(
+                    link.end1, link.end2, link.association, name=link.name
+                )
 
         return undo
 
     def _restore(self, name: str) -> Optional[Callable[[], None]]:
+        """Bring *name* back, re-cabled to every neighbour that is up.
+
+        The links it went down with join the cut links in
+        ``_down_links``, and every down link between *name* and a present
+        node comes back: a link to a neighbour that is still crashed
+        waits there and returns with that neighbour.
+        """
         entry = self._crashed.pop(name, None)
         if entry is None:
             return None  # never crashed (or already restored)
         inst, links = entry
-        self.model.add_existing_instance(inst)
-        restored: List[Link] = []
+        model = self.model
+        before = dict(self._down_links)
         for link in links:
-            other = link.end2.name if link.end1.name == name else link.end1.name
-            if self.model.has_instance(other) and (
-                self.model.find_link(name, other) is None
-            ):
-                restored.append(
-                    self.model.add_link(
+            self._down_links[_edge_key(link.end1.name, link.end2.name)] = link
+        model.add_existing_instance(inst)
+        recabled: List[Link] = []
+        for key, link in list(self._down_links.items()):
+            if name not in key:
+                continue
+            other = key[1] if key[0] == name else key[0]
+            if model.has_instance(other):
+                del self._down_links[key]
+                recabled.append(
+                    model.add_link(
                         link.end1, link.end2, link.association, name=link.name
                     )
                 )
 
         def undo() -> None:
-            for link in restored:
+            for link in recabled:
                 self.model.remove_link(link.end1, link.end2)
+            self._down_links.clear()
+            self._down_links.update(before)
             removed_inst, _ = self.model.remove_instance(name)
             self._crashed[name] = (removed_inst, links)
 
@@ -600,49 +771,92 @@ class LiveEvaluator:
 
     # -- recompute -----------------------------------------------------------
 
-    def _prepare(self) -> Tuple[CompiledTopology, Dict[str, float], Tuple[Tuple[str, str], ...]]:
-        """Freeze everything a worker needs, on the mutating thread."""
+    def _prepare(
+        self,
+    ) -> Tuple[
+        CompiledTopology,
+        Tuple[Tuple[str, str], ...],
+        Optional[Dict[str, float]],
+        Optional[_Nominal],
+        List[str],
+    ]:
+        """Freeze everything a worker needs, on the mutating thread.
+
+        Returns ``(compiled, pairs, availabilities, nominal, down)``.  A
+        delta epoch whose pairs match the nominal's and whose elements
+        the nominal all knows conditions *nominal* on the *down*
+        elements; otherwise (and on every oracle epoch) *nominal* is
+        None and Formula 1 is resolved here, where the live model is
+        safe to read.
+        """
         # deferred: analysis.transformations imports core.pathdiscovery,
         # which would close an import cycle through repro.core.__init__
         from repro.analysis.transformations import component_availabilities
 
-        if self.policy.delta:
-            compiled = compile_topology(self.topology)
-        else:
+        pairs = tuple(self.pairs)
+        if not self.policy.delta:
             # full-recompile oracle: pay compilation from scratch
             compiled = CompiledTopology.from_topology(self.topology)
-        availabilities = component_availabilities(self.model)
-        return compiled, availabilities, tuple(self.pairs)
+        else:
+            compiled = compile_topology(self.topology)
+            nominal = self._nominal
+            if nominal is not None and nominal.pairs == pairs:
+                present = set(_elements(compiled))
+                if present.issubset(nominal.bits):
+                    down = [name for name in nominal.bits if name not in present]
+                    return compiled, pairs, None, nominal, down
+        return compiled, pairs, component_availabilities(self.model), None, []
 
     def _compute(
         self,
         compiled: CompiledTopology,
-        availabilities: Mapping[str, float],
         pairs: Tuple[Tuple[str, str], ...],
+        availabilities: Optional[Mapping[str, float]],
+        nominal: Optional[_Nominal],
+        down: Sequence[str],
     ) -> _Computed:
         """The worker body: frozen inputs only — never the live model."""
-        # deferred imports: see __init__
-        from repro.dependability.bdd import compile_structure, order_from_compiled
+        if not self.policy.delta:
+            return self._compute_full(compiled, pairs, availabilities)
+        with _trace.span(
+            "dynamics.condition", rebase=nominal is None, down=len(down)
+        ) as span:
+            known = None
+            if nominal is None:
+                nominal = _Nominal(compiled, pairs, availabilities, self._reorder)
+                known = nominal.path_sets
+            system, values, disconnected = nominal.condition(down)
+            span.set(disconnected=len(disconnected))
+        full_pair = {
+            pair: values[tuple(sorted(pair))] for pair in dict.fromkeys(pairs)
+        }
+        return _Computed(
+            _PathSetView(compiled, full_pair, known),
+            system,
+            full_pair,
+            tuple(sorted(disconnected)),
+            nominal,
+        )
+
+    @staticmethod
+    def _compute_full(
+        compiled: CompiledTopology,
+        pairs: Tuple[Tuple[str, str], ...],
+        availabilities: Mapping[str, float],
+    ) -> _Computed:
+        """The oracle: uncached enumeration and a fresh BDD per epoch."""
+        # deferred imports: dependability.bdd imports core.engine, whose
+        # package import chain loops back through this module
+        from repro.dependability.bdd import compile_structure
         from repro.dependability.cutsets import path_components
 
-        delta = self.policy.delta
-        path_sets: Dict[Tuple[str, str], PathSet] = {}
-        for pair in dict.fromkeys(pairs):
-            requester, provider = pair
-            if delta:
-                path_sets[pair] = discover_delta_compiled(
-                    compiled, requester, provider
-                )
-            else:
-                path_sets[pair] = _enumerate(
-                    compiled, requester, provider, memo=False
-                )
-        # distinct unordered pairs, as in the pipeline (repeated pairs
-        # describe the same connectivity event — count once)
+        path_sets: Dict[Tuple[str, str], PathSet] = {
+            pair: _enumerate(compiled, *pair, memo=False)
+            for pair in dict.fromkeys(pairs)
+        }
         distinct: Dict[Tuple[str, str], PathSet] = {}
         for pair, ps in path_sets.items():
-            key = tuple(sorted(pair))
-            distinct.setdefault(key, ps)
+            distinct.setdefault(tuple(sorted(pair)), ps)
         groups: List[List] = []
         group_keys: List[Tuple[str, str]] = []
         disconnected: List[Tuple[str, str]] = []
@@ -650,25 +864,14 @@ class LiveEvaluator:
             if not ps.paths:
                 disconnected.append(key)
                 continue
-            groups.append(
-                [path_components(path) for path in ps.paths]
-            )
+            groups.append([path_components(path) for path in ps.paths])
             group_keys.append(key)
         pair_availability: Dict[Tuple[str, str], float] = {
             key: 0.0 for key in disconnected
         }
         system = 0.0 if disconnected else 1.0
         if groups:
-            if delta:
-                kernel = self._kernel.recompile(
-                    groups,
-                    order_hint=order_from_compiled(
-                        compiled,
-                        {c for group in groups for path in group for c in path},
-                    ),
-                )
-            else:
-                kernel = compile_structure(groups, use_cache=False)
+            kernel = compile_structure(groups, use_cache=False)
             vector = np.array(
                 [availabilities.get(v, 0.0) for v in kernel.variables],
                 dtype=np.float64,
@@ -681,7 +884,9 @@ class LiveEvaluator:
         full_pair = {
             pair: pair_availability[tuple(sorted(pair))] for pair in path_sets
         }
-        return _Computed(path_sets, system, full_pair, tuple(sorted(disconnected)))
+        return _Computed(
+            path_sets, system, full_pair, tuple(sorted(disconnected)), None
+        )
 
     def _adopt(self, compiled: CompiledTopology, computed: _Computed) -> None:
         with self._lock:
@@ -696,11 +901,16 @@ class LiveEvaluator:
                 applied_events=self._applied,
                 created_at=time.monotonic(),
             )
+        if computed.nominal is not self._nominal:
+            if self._nominal is not None:
+                self.stats["rebases"] += 1
+                _M_REBASES.inc()
+            self._nominal = computed.nominal
         _M_EPOCHS.inc()
 
     def _recompute_unbounded(self) -> None:
-        compiled, availabilities, pairs = self._prepare()
-        self._adopt(compiled, self._compute(compiled, availabilities, pairs))
+        prepared = self._prepare()
+        self._adopt(prepared[0], self._compute(*prepared))
 
     def _try_recompute(self) -> Tuple[bool, Optional[BaseException]]:
         """One deadline-bounded, retry-wrapped recompute attempt.
@@ -723,15 +933,24 @@ class LiveEvaluator:
                     self.stats["retries"] += 1
                     _M_RETRIES.inc()
                     time.sleep(policy.backoff * (2 ** (attempt - 1)))
-                compiled, availabilities, pairs = self._prepare()
+                prepared = self._prepare()
+                compiled, _, _, nominal, _ = prepared
+                span.set(rebase=policy.delta and nominal is None)
                 started = time.monotonic()
                 finished, computed, error = call_with_deadline(
-                    partial(self._compute, compiled, availabilities, pairs),
-                    policy.deadline,
+                    partial(self._compute, *prepared), policy.deadline
                 )
-                if not finished:
+                elapsed = time.monotonic() - started
+                if not finished or (
+                    error is None
+                    and policy.deadline is not None
+                    and elapsed > policy.deadline
+                ):
                     # abandoned: the worker only holds frozen inputs,
-                    # its (content-addressed) cache writes stay valid
+                    # its (content-addressed) cache writes stay valid.  A
+                    # result that came in late counts as a miss too — a
+                    # worker shorter than the interpreter's thread switch
+                    # interval can finish before the waiting thread wakes
                     self.stats["deadline_misses"] += 1
                     _M_DEADLINE_MISSES.inc()
                     span.set(outcome="deadline")
@@ -740,7 +959,7 @@ class LiveEvaluator:
                     last_error = error
                     continue
                 self._adopt(compiled, computed)
-                _H_RECOMPUTE.observe(time.monotonic() - started)
+                _H_RECOMPUTE.observe(elapsed)
                 span.set(outcome="epoch", epoch=self._epoch, attempts=attempt + 1)
                 return True, None
             span.set(outcome="error", attempts=policy.max_retries + 1)
