@@ -10,18 +10,23 @@ component X fails, what happens to this service invocation?* — which
 atomic services lose connectivity entirely, which merely lose redundancy,
 and what the degraded availability is.  :func:`impact_table` runs it for
 every UPSIM component and ranks by severity, producing the triage list a
-service operator would start from.  Both, and the resilience campaign,
-evaluate through :func:`conditional_availabilities`, the one batched
-route that conditions the nominal structure on elements being down.
+service operator would start from.
+
+Every faulted or churned state is the nominal structure with a down set
+forced to 0, because taking nodes or links away never creates a path.
+:class:`Nominal` is that one conditioning primitive: what-if, the
+resilience campaign (:func:`repro.resilience.run_campaign`) and the live
+churn evaluator (:class:`repro.core.LiveEvaluator`) all read surviving
+path counts and conditioned availabilities off it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    AbstractSet,
     Dict,
     FrozenSet,
+    Hashable,
     Iterable,
     List,
     Mapping,
@@ -30,23 +35,25 @@ from typing import (
     Tuple,
 )
 
-from repro.analysis.exact import DEFAULT_KERNEL, KERNELS, system_availability
-from repro.analysis.transformations import (
-    component_availabilities,
-    pair_path_sets,
-    service_availability_kernel,
-    service_path_set_groups,
-)
+import numpy as np
+
+from repro.analysis.exact import DEFAULT_KERNEL, system_availability
+from repro.analysis.transformations import component_availabilities
+from repro.core.engine import CompiledTopology, compile_topology
+from repro.core.pathdiscovery import PathSet
 from repro.core.upsim import UPSIM
+from repro.dependability.bdd import compile_structure, order_from_compiled
+from repro.dependability.cutsets import link_component_name, path_components
 from repro.errors import AnalysisError
+from repro.network.topology import Topology
 from repro.obs import trace as _trace
 
 __all__ = [
     "FailureImpact",
+    "Nominal",
     "failure_impact",
     "combined_failure_impact",
     "impact_table",
-    "conditional_availabilities",
 ]
 
 
@@ -73,76 +80,127 @@ class FailureImpact:
         return self.baseline_availability - self.conditional_availability
 
 
-def _service_path_sets(
-    upsim: UPSIM, *, include_links: bool
-) -> Dict[str, List[FrozenSet[str]]]:
-    """Per atomic service, the component sets of its paths."""
-    return {
-        atomic_service: pair_path_sets(path_set, include_links=include_links)
-        for atomic_service, path_set in upsim.path_sets.items()
-    }
+class Nominal:
+    """The nominal service structure, conditioned on down sets.
 
-
-def _outages(
-    service_sets: Dict[str, List[FrozenSet[str]]], gone: FrozenSet[str]
-) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
-    """``(disconnected, degraded)`` atomic services with *gone* down: no
-    surviving path, or fewer surviving paths than nominal."""
-    disconnected: List[str] = []
-    degraded: List[str] = []
-    if gone:
-        for atomic_service, sets in service_sets.items():
-            surviving = sum(1 for path in sets if path.isdisjoint(gone))
-            if not surviving:
-                disconnected.append(atomic_service)
-            elif surviving < len(sets):
-                degraded.append(atomic_service)
-    return tuple(disconnected), tuple(degraded)
-
-
-def conditional_availabilities(
-    upsim: UPSIM,
-    scenarios: Sequence[Tuple[AbstractSet[str], Mapping[str, float]]],
-    *,
-    include_links: bool = True,
-    kernel: str = DEFAULT_KERNEL,
-) -> List[float]:
-    """Service availability under each ``(gone, table)`` scenario: the
-    availability *table* with every *gone* element forced to 0.
-
-    Taking nodes or links away never creates a path, so a faulted
-    service's structure is the nominal one conditioned on the gone
-    elements being down, and one compile serves every scenario.  With
-    ``kernel="bdd"`` the scenarios are the rows of one
-    :meth:`~repro.dependability.bdd.AvailabilityKernel.evaluate_many`
-    batch (scenarios sharing a table object share its probability
-    vector); ``"ie"``/``"enum"`` run
-    :func:`repro.analysis.exact.system_availability` once per scenario.
+    Built from keyed path sets (atomic services or endpoint pairs), the
+    Formula-1 *table*, the compiled topology whose CSR ids give the
+    variable order and the *reorder* mode.  Keys with the same unordered
+    endpoints describe one connectivity event and share one group
+    (``group`` maps each key to it).  ``masks`` holds each group's paths
+    as int bitmasks over the components (``bits``); with ``kernel="bdd"``
+    the groups with paths share one memoized kernel and the table's
+    validated probability ``vector``.  A group without paths is never
+    connected, and a truncated path set, which would miss surviving
+    paths, raises :class:`AnalysisError`.  Never mutated after
+    construction, so an abandoned churn worker may hold one.
     """
-    if kernel != "bdd":
-        groups = service_path_set_groups(upsim, include_links=include_links)
-        values = []
-        for gone, table in scenarios:
-            forced = dict(table)
-            forced.update(dict.fromkeys(gone, 0.0))
-            values.append(system_availability(groups, forced, kernel=kernel))
-        return values
 
-    import numpy as np
+    def __init__(
+        self,
+        path_sets: Mapping[Hashable, PathSet],
+        table: Mapping[str, float],
+        compiled: CompiledTopology,
+        *,
+        reorder: Optional[str] = None,
+        include_links: bool = True,
+        kernel: str = DEFAULT_KERNEL,
+    ):
+        self.group: Dict[Hashable, int] = {}
+        self.groups: List[List[FrozenSet[str]]] = []
+        distinct: Dict[Tuple[str, ...], int] = {}
+        for key, path_set in path_sets.items():
+            if path_set.truncated:
+                raise AnalysisError(
+                    f"pair ({path_set.requester!r}, {path_set.provider!r}) has "
+                    f"a truncated path set; conditioning it would miss "
+                    f"surviving paths"
+                )
+            pair = tuple(sorted((path_set.requester, path_set.provider)))
+            if pair not in distinct:
+                distinct[pair] = len(self.groups)
+                self.groups.append(
+                    [
+                        path_components(path, include_links=include_links)
+                        for path in path_set.paths
+                    ]
+                )
+            self.group[key] = distinct[pair]
+        order = order_from_compiled(
+            compiled, {c for group in self.groups for path in group for c in path}
+        )
+        self.bits = {name: 1 << bit for bit, name in enumerate(order)}
+        self.masks = [
+            tuple(sum(self.bits[c] for c in path) for path in group)
+            for group in self.groups
+        ]
+        self.table = table
+        self.route = kernel
+        self._live = [i for i, group in enumerate(self.groups) if group]
+        self.kernel = self.vector = None
+        if kernel == "bdd" and self._live:
+            # sorted paths meet their near-duplicates early in the OR fold,
+            # which keeps the cold build's intermediates small
+            self.kernel = compile_structure(
+                [sorted(self.groups[i], key=sorted) for i in self._live],
+                order=order,
+                reorder=reorder,
+            )
+            self.vector = self.kernel.probability_vector(table)
 
-    compiled = service_availability_kernel(upsim, include_links=include_links)
-    vectors: Dict[int, np.ndarray] = {}
-    matrix = np.empty((len(scenarios), len(compiled.variables)))
-    for row, (gone, table) in enumerate(scenarios):
-        vector = vectors.get(id(table))
-        if vector is None:
-            vector = vectors[id(table)] = compiled.probability_vector(table)
-        matrix[row] = vector
+    def survivors(self, gone: Iterable[str]) -> List[int]:
+        """Per group, how many of its paths avoid every *gone* element."""
+        mask = 0
         for name in gone:
-            column = compiled.index.get(name)
-            if column is not None:
-                matrix[row, column] = 0.0
-    return compiled.evaluate_many(matrix).tolist()
+            mask |= self.bits.get(name, 0)
+        return [len([p for p in paths if not p & mask]) for paths in self.masks]
+
+    def rows(
+        self, scenarios: Sequence[Tuple[Iterable[str], Mapping[str, float]]]
+    ) -> Tuple[List[float], Optional[List[List[float]]]]:
+        """``(system, per-group)`` availability of each ``(gone, table)``
+        row: the *table* with every *gone* element forced to 0.
+
+        On the BDD route one row is one scalar ``evaluate_vector`` sweep
+        and more rows are one ``evaluate_many_all`` batch; both run the
+        same per-node arithmetic, so a row reads the same bits either way.
+        ``"ie"``/``"enum"`` run :func:`system_availability` per row and
+        report no per-group values (``None``).
+        """
+        if self.route != "bdd":
+            systems = []
+            for gone, table in scenarios:
+                forced = {**table, **dict.fromkeys(gone, 0.0)}
+                systems.append(
+                    system_availability(self.groups, forced, kernel=self.route)
+                )
+            return systems, None
+        k, width = len(scenarios), len(self.groups)
+        if self.kernel is None:
+            return [0.0] * k, [[0.0] * width for _ in range(k)]
+        index = self.kernel.index
+        vectors = {id(self.table): self.vector}
+        matrix = []
+        for gone, table in scenarios:
+            vector = vectors.get(id(table))
+            if vector is None:
+                vector = vectors[id(table)] = self.kernel.probability_vector(table)
+            row = vector.copy()
+            row[[index[name] for name in gone if name in index]] = 0.0
+            matrix.append(row)
+        if k == 1:
+            system, values = self.kernel.evaluate_vector(matrix[0])
+            systems, groups = [system], [list(values)]
+        else:
+            systems, groups = self.kernel.evaluate_many_all(np.stack(matrix))
+            systems, groups = systems.tolist(), groups.tolist()
+        if len(self._live) < width:
+            systems = [0.0] * k
+            groups = [
+                [found.get(g, 0.0) for g in range(width)]
+                for found in (dict(zip(self._live, values)) for values in groups)
+            ]
+        return systems, groups
 
 
 def _check_components(
@@ -153,6 +211,48 @@ def _check_components(
             raise AnalysisError(
                 f"component {name!r} is not part of UPSIM {upsim.model.name!r}"
             )
+
+
+def _impacts(
+    upsim: UPSIM,
+    downs: Sequence[FrozenSet[str]],
+    table: Mapping[str, float],
+    *,
+    include_links: bool,
+    kernel: str,
+) -> List[FailureImpact]:
+    """One :class:`FailureImpact` per down set: the baseline and every
+    conditioned availability are rows of one :meth:`Nominal.rows` call,
+    under the variable order of
+    :func:`~repro.analysis.transformations.service_availability_kernel`
+    and the process reorder default."""
+    nominal = Nominal(
+        upsim.path_sets,
+        table,
+        compile_topology(Topology(upsim.model)),
+        include_links=include_links,
+        kernel=kernel,
+    )
+    (baseline, *conditionals), _ = nominal.rows(
+        [(frozenset(), table)] + [(down, table) for down in downs]
+    )
+    impacts = []
+    for down, conditional in zip(downs, conditionals):
+        counts = nominal.survivors(down)
+        impacts.append(
+            FailureImpact(
+                "+".join(sorted(down)),
+                tuple(s for s, g in nominal.group.items() if not counts[g]),
+                tuple(
+                    s
+                    for s, g in nominal.group.items()
+                    if 0 < counts[g] < len(nominal.masks[g])
+                ),
+                conditional_availability=conditional,
+                baseline_availability=baseline,
+            )
+        )
+    return impacts
 
 
 def combined_failure_impact(
@@ -171,16 +271,12 @@ def combined_failure_impact(
     where nothing is structurally down but the table carries overridden
     MTBF/MTTR values).
 
-    Baseline and conditional availability are two scenarios of
-    :func:`conditional_availabilities`: with the default ``kernel="bdd"``
-    the service structure compiles once (and is found in the kernel cache
-    on every later call for the same UPSIM); ``"enum"``/``"ie"`` route
-    through :func:`repro.analysis.exact.system_availability`.
+    Baseline and conditional availability are two rows of one
+    :class:`Nominal`: with the default ``kernel="bdd"`` the service
+    structure compiles once (and is found in the kernel cache on every
+    later call for the same UPSIM); ``"enum"``/``"ie"`` route through
+    :func:`repro.analysis.exact.system_availability`.
     """
-    if kernel not in KERNELS:
-        raise AnalysisError(
-            f"unknown availability kernel {kernel!r}; expected one of {KERNELS}"
-        )
     with _trace.span(
         "analysis.failure_impact", components=len(components), kernel=kernel
     ):
@@ -191,22 +287,10 @@ def combined_failure_impact(
         )
         down = frozenset(components)
         _check_components(upsim, down, table)
-        disconnected, degraded = _outages(
-            _service_path_sets(upsim, include_links=include_links), down
+        (impact,) = _impacts(
+            upsim, [down], table, include_links=include_links, kernel=kernel
         )
-        baseline, conditional = conditional_availabilities(
-            upsim,
-            [(frozenset(), table), (down, table)],
-            include_links=include_links,
-            kernel=kernel,
-        )
-        return FailureImpact(
-            component="+".join(sorted(down)),
-            disconnected_services=disconnected,
-            degraded_services=degraded,
-            conditional_availability=conditional,
-            baseline_availability=baseline,
-        )
+        return impact
 
 
 def failure_impact(
@@ -243,7 +327,7 @@ def impact_table(
     view an operator wants; pass ``include_links=True`` to rank cables too.
 
     With the default ``kernel="bdd"`` the whole scan is one batched
-    :meth:`~repro.dependability.bdd.AvailabilityKernel.evaluate_many`
+    :meth:`~repro.dependability.bdd.AvailabilityKernel.evaluate_many_all`
     sweep: one probability matrix with one row per candidate component,
     one vectorized DAG pass, instead of a full evaluation per component.
     """
@@ -252,8 +336,6 @@ def impact_table(
     else:
         names = list(upsim.component_names)
         if include_links:
-            from repro.dependability.cutsets import link_component_name
-
             names.extend(
                 link_component_name(a, b) for a, b in sorted(upsim.used_links())
             )
@@ -262,23 +344,13 @@ def impact_table(
     with _trace.span(
         "analysis.impact_table", components=len(names), kernel=kernel
     ):
-        service_sets = _service_path_sets(upsim, include_links=include_links)
-        downs = [frozenset((name,)) for name in names]
-        baseline, *conditionals = conditional_availabilities(
+        impacts = _impacts(
             upsim,
-            [(frozenset(), table)] + [(down, table) for down in downs],
+            [frozenset((name,)) for name in names],
+            table,
             include_links=include_links,
             kernel=kernel,
         )
-        impacts = [
-            FailureImpact(
-                name,
-                *_outages(service_sets, down),
-                conditional_availability=conditional,
-                baseline_availability=baseline,
-            )
-            for name, down, conditional in zip(names, downs, conditionals)
-        ]
     impacts.sort(
         key=lambda impact: (
             -len(impact.disconnected_services),

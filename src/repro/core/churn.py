@@ -18,12 +18,12 @@ load:
   a stream produces is the nominal model minus a *down set* of nodes and
   links, and the simple paths of a subgraph are exactly the nominal
   paths that avoid the removed elements.  So an epoch only computes the
-  down set, drops the pairs none of whose path bitmasks survive, and
-  evaluates one row of the nominal kernel with the down columns at 0 —
-  the row rule of :func:`repro.analysis.whatif.conditional_availabilities`.
-  The nominal (path sets, compiled kernel, Formula-1 vector, path masks)
-  is rebuilt — a *rebase* — only when the pairs change or the model
-  holds an element the nominal lacks.
+  down set and conditions one :class:`repro.analysis.whatif.Nominal` —
+  the primitive campaigns and what-if share — on it: pairs with no
+  surviving path are disconnected, and availabilities are one row of the
+  nominal kernel with the down columns at 0.  The nominal is rebuilt — a
+  *rebase* — only when the pairs change or the model holds an element
+  outside the rebased model's universe.
 * **Epoch snapshots** — readers always see a consistent
   :class:`EpochSnapshot` (availabilities computed from one model state,
   path sets enumerated on that state's frozen compiled topology the
@@ -63,12 +63,16 @@ from collections.abc import Mapping as _MappingABC
 from dataclasses import dataclass, field
 from functools import partial
 from typing import (
+    TYPE_CHECKING,
     Callable,
+    Collection,
     Dict,
+    FrozenSet,
     Iterable,
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -84,6 +88,9 @@ from repro.network.topology import Topology
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.uml.objects import Link, ObjectModel
+
+if TYPE_CHECKING:
+    from repro.analysis.whatif import Nominal
 
 __all__ = [
     "ChurnEvent",
@@ -447,93 +454,13 @@ def _elements(compiled: CompiledTopology) -> Iterator[str]:
                 yield link_component_name(name, names[j])
 
 
-class _Nominal:
-    """The structure conditioned epochs evaluate, built once per rebase
-    from one frozen model state.
+class _Base(NamedTuple):
+    """The nominal one rebase builds from one frozen model state, with
+    what decides the next rebase: its pairs and its element universe."""
 
-    ``bits`` numbers the state's elements; each distinct unordered pair
-    keeps its paths as bitmasks over them (``masks``), and the pairs with
-    paths share one memoized kernel (``compile_structure``, honouring
-    *reorder*) plus its Formula-1 probability ``vector``.  Never mutated
-    after construction, so an abandoned worker may hold one.
-    """
-
-    __slots__ = ("pairs", "bits", "path_sets", "keys", "masks", "group",
-                 "kernel", "vector")
-
-    def __init__(
-        self,
-        compiled: CompiledTopology,
-        pairs: Tuple[Tuple[str, str], ...],
-        availabilities: Mapping[str, float],
-        reorder: str,
-    ):
-        from repro.dependability.bdd import compile_structure, order_from_compiled
-        from repro.dependability.cutsets import path_components
-
-        self.pairs = pairs
-        self.bits = {name: bit for bit, name in enumerate(_elements(compiled))}
-        self.path_sets = {
-            pair: _enumerate(compiled, *pair) for pair in dict.fromkeys(pairs)
-        }
-        # distinct unordered pairs, as in the pipeline (repeated pairs
-        # describe the same connectivity event — count once)
-        distinct: Dict[Tuple[str, str], PathSet] = {}
-        for pair, ps in self.path_sets.items():
-            distinct.setdefault(tuple(sorted(pair)), ps)
-        self.keys = tuple(distinct)
-        self.masks: List[Tuple[int, ...]] = []
-        self.group: Dict[Tuple[str, str], int] = {}
-        groups: List[List] = []
-        for key, ps in distinct.items():
-            sets = [path_components(path) for path in ps.paths]
-            self.masks.append(
-                tuple(sum(1 << self.bits[c] for c in path) for path in sets)
-            )
-            if sets:
-                self.group[key] = len(groups)
-                # sorted paths meet their near-duplicates early in the OR
-                # fold, which keeps the cold build's intermediates small
-                groups.append(sorted(sets, key=sorted))
-        self.kernel = self.vector = None
-        if groups:
-            components = {c for group in groups for path in group for c in path}
-            self.kernel = compile_structure(
-                groups,
-                order=order_from_compiled(compiled, components),
-                reorder=reorder,
-            )
-            self.vector = np.array(
-                [availabilities.get(v, 0.0) for v in self.kernel.variables],
-                dtype=np.float64,
-            )
-
-    def condition(
-        self, down: Iterable[str]
-    ) -> Tuple[float, Dict[Tuple[str, str], float], List[Tuple[str, str]]]:
-        """``(system, per-key availability, disconnected keys)`` with every
-        *down* element at 0: a key is disconnected when none of its path
-        masks survives, the rest come off one conditioned kernel row."""
-        gone = 0
-        for name in down:
-            gone |= 1 << self.bits[name]
-        disconnected = [
-            key
-            for key, masks in zip(self.keys, self.masks)
-            if not any(mask & gone == 0 for mask in masks)
-        ]
-        values = dict.fromkeys(disconnected, 0.0)
-        system = 0.0 if disconnected else 1.0
-        if self.kernel is not None:
-            row = self.vector.copy()
-            index = self.kernel.index
-            row[[index[name] for name in down if name in index]] = 0.0
-            sys_av, group_avs = self.kernel.evaluate_vector(row)
-            if not disconnected:
-                system = sys_av
-            for key, slot in self.group.items():
-                values.setdefault(key, group_avs[slot])
-        return system, values, disconnected
+    pairs: Tuple[Tuple[str, str], ...]
+    elements: FrozenSet[str]
+    nominal: "Nominal"
 
 
 class _PathSetView(_MappingABC):
@@ -574,26 +501,15 @@ class _PathSetView(_MappingABC):
         return len(self._paths)
 
 
-class _Computed:
+class _Computed(NamedTuple):
     """One recompute's outputs, built entirely from frozen inputs (plus
-    the nominal a delta epoch conditioned, adopted with it)."""
+    the base a delta epoch conditioned, adopted with it)."""
 
-    __slots__ = (
-        "path_sets",
-        "availability",
-        "pair_availability",
-        "disconnected",
-        "nominal",
-    )
-
-    def __init__(
-        self, path_sets, availability, pair_availability, disconnected, nominal
-    ):
-        self.path_sets = path_sets
-        self.availability = availability
-        self.pair_availability = pair_availability
-        self.disconnected = disconnected
-        self.nominal = nominal
+    path_sets: Mapping[Tuple[str, str], PathSet]
+    availability: float
+    pair_availability: Dict[Tuple[str, str], float]
+    disconnected: Tuple[Tuple[str, str], ...]
+    base: Optional[_Base]
 
 
 class LiveEvaluator:
@@ -623,7 +539,7 @@ class LiveEvaluator:
         self.policy = policy or ChurnPolicy()
         #: reordering mode of the nominal kernel, applied at each rebase
         self._reorder = reorder
-        self._nominal: Optional[_Nominal] = None
+        self._base: Optional[_Base] = None
         self._lock = threading.Lock()
         self._snapshot: Optional[EpochSnapshot] = None
         self._epoch = 0
@@ -777,17 +693,16 @@ class LiveEvaluator:
         CompiledTopology,
         Tuple[Tuple[str, str], ...],
         Optional[Dict[str, float]],
-        Optional[_Nominal],
-        List[str],
+        Optional[_Base],
+        Collection[str],
     ]:
         """Freeze everything a worker needs, on the mutating thread.
 
-        Returns ``(compiled, pairs, availabilities, nominal, down)``.  A
-        delta epoch whose pairs match the nominal's and whose elements
-        the nominal all knows conditions *nominal* on the *down*
-        elements; otherwise (and on every oracle epoch) *nominal* is
-        None and Formula 1 is resolved here, where the live model is
-        safe to read.
+        Returns ``(compiled, pairs, availabilities, base, down)``.  A
+        delta epoch whose pairs match the base's and whose elements the
+        base all knows conditions *base*'s nominal on the *down*
+        elements; otherwise (and on every oracle epoch) *base* is None and
+        Formula 1 is resolved here, where the live model is safe to read.
         """
         # deferred: analysis.transformations imports core.pathdiscovery,
         # which would close an import cycle through repro.core.__init__
@@ -799,43 +714,57 @@ class LiveEvaluator:
             compiled = CompiledTopology.from_topology(self.topology)
         else:
             compiled = compile_topology(self.topology)
-            nominal = self._nominal
-            if nominal is not None and nominal.pairs == pairs:
+            base = self._base
+            if base is not None and base.pairs == pairs:
                 present = set(_elements(compiled))
-                if present.issubset(nominal.bits):
-                    down = [name for name in nominal.bits if name not in present]
-                    return compiled, pairs, None, nominal, down
-        return compiled, pairs, component_availabilities(self.model), None, []
+                if present <= base.elements:
+                    return compiled, pairs, None, base, base.elements - present
+        return compiled, pairs, component_availabilities(self.model), None, ()
 
     def _compute(
         self,
         compiled: CompiledTopology,
         pairs: Tuple[Tuple[str, str], ...],
         availabilities: Optional[Mapping[str, float]],
-        nominal: Optional[_Nominal],
-        down: Sequence[str],
+        base: Optional[_Base],
+        down: Collection[str],
     ) -> _Computed:
         """The worker body: frozen inputs only — never the live model."""
         if not self.policy.delta:
             return self._compute_full(compiled, pairs, availabilities)
+        # deferred: repro.analysis imports core modules at load time
+        from repro.analysis.whatif import Nominal
+
         with _trace.span(
-            "dynamics.condition", rebase=nominal is None, down=len(down)
+            "dynamics.condition", rebase=base is None, down=len(down)
         ) as span:
             known = None
-            if nominal is None:
-                nominal = _Nominal(compiled, pairs, availabilities, self._reorder)
-                known = nominal.path_sets
-            system, values, disconnected = nominal.condition(down)
+            if base is None:
+                known = {
+                    pair: _enumerate(compiled, *pair)
+                    for pair in dict.fromkeys(pairs)
+                }
+                base = _Base(
+                    pairs,
+                    frozenset(_elements(compiled)),
+                    Nominal(known, availabilities, compiled, reorder=self._reorder),
+                )
+            nominal = base.nominal
+            counts = nominal.survivors(down)
+            (system,), (groups,) = nominal.rows([(down, nominal.table)])
+            disconnected = {
+                tuple(sorted(pair))
+                for pair, group in nominal.group.items()
+                if not counts[group]
+            }
             span.set(disconnected=len(disconnected))
-        full_pair = {
-            pair: values[tuple(sorted(pair))] for pair in dict.fromkeys(pairs)
-        }
+        full_pair = {pair: groups[group] for pair, group in nominal.group.items()}
         return _Computed(
             _PathSetView(compiled, full_pair, known),
             system,
             full_pair,
             tuple(sorted(disconnected)),
-            nominal,
+            base,
         )
 
     @staticmethod
@@ -901,11 +830,11 @@ class LiveEvaluator:
                 applied_events=self._applied,
                 created_at=time.monotonic(),
             )
-        if computed.nominal is not self._nominal:
-            if self._nominal is not None:
+        if computed.base is not self._base:
+            if self._base is not None:
                 self.stats["rebases"] += 1
                 _M_REBASES.inc()
-            self._nominal = computed.nominal
+            self._base = computed.base
         _M_EPOCHS.inc()
 
     def _recompute_unbounded(self) -> None:
@@ -934,23 +863,16 @@ class LiveEvaluator:
                     _M_RETRIES.inc()
                     time.sleep(policy.backoff * (2 ** (attempt - 1)))
                 prepared = self._prepare()
-                compiled, _, _, nominal, _ = prepared
-                span.set(rebase=policy.delta and nominal is None)
+                compiled, _, _, base, _ = prepared
+                span.set(rebase=policy.delta and base is None)
                 started = time.monotonic()
                 finished, computed, error = call_with_deadline(
                     partial(self._compute, *prepared), policy.deadline
                 )
                 elapsed = time.monotonic() - started
-                if not finished or (
-                    error is None
-                    and policy.deadline is not None
-                    and elapsed > policy.deadline
-                ):
+                if not finished:
                     # abandoned: the worker only holds frozen inputs,
-                    # its (content-addressed) cache writes stay valid.  A
-                    # result that came in late counts as a miss too — a
-                    # worker shorter than the interpreter's thread switch
-                    # interval can finish before the waiting thread wakes
+                    # its (content-addressed) cache writes stay valid
                     self.stats["deadline_misses"] += 1
                     _M_DEADLINE_MISSES.inc()
                     span.set(outcome="deadline")

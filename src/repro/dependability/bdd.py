@@ -952,14 +952,8 @@ class AvailabilityKernel:
         self, p: np.ndarray
     ) -> Tuple[float, Tuple[float, ...]]:
         """(system, per-group) availabilities for one kernel-ordered raw
-        vector — :meth:`evaluate_all` without the mapping validation.
-
-        The churn evaluator uses this with 0.0 defaults for variables
-        absent from the current model epoch: an incremental kernel's
-        variable set only grows, and variables no longer referenced by
-        any live group are unreachable from the evaluated roots, so their
-        probability never influences the result.
-        """
+        vector — :meth:`evaluate_all` without the mapping validation, and
+        the one-row route of :meth:`repro.analysis.whatif.Nominal.rows`."""
         p = np.asarray(p, dtype=np.float64)
         if p.ndim != 1 or p.shape[0] != len(self.variables):
             raise AnalysisError(

@@ -117,8 +117,11 @@ def call_with_deadline(
     With a *timeout* the call runs on a daemon thread that adopts the
     caller's current span and is abandoned after *timeout* seconds
     (``(False, None, None)``): the work has no cancellation point, so an
-    expired thread finishes in the background.  ``None`` runs it inline.
-    An exception raised by *work* is returned, not raised.
+    expired thread finishes in the background.  A result that arrives
+    after *timeout* is reported the same way — work shorter than the
+    interpreter's thread switch interval can finish before the waiting
+    thread wakes.  ``None`` runs it inline.  An exception raised by *work*
+    is returned, not raised, however late.
     """
     if timeout is None:
         try:
@@ -137,8 +140,10 @@ def call_with_deadline(
                 box["error"] = exc
 
     thread = threading.Thread(target=target, daemon=True)
+    started = time.monotonic()
     thread.start()
     thread.join(timeout)
-    if thread.is_alive():
+    late = time.monotonic() - started > timeout
+    if thread.is_alive() or (late and "error" not in box):
         return False, None, None
     return True, box.get("result"), box.get("error")

@@ -12,11 +12,13 @@ exactly the components on some requester-provider path, and taking
 nodes or links away never creates a simple path, so under a fault plan a
 pair's surviving paths are exactly its nominal paths that avoid every
 crashed node and cut link.  Reachability, path counts and outages are
-read off the nominal path sets; availability is one row per plan (degrade
-overrides applied, gone elements at 0) of one batch over the one nominal
-compile (:func:`repro.analysis.whatif.conditional_availabilities`).  The
-nearest-cut diagnostic of an unreachable pair walks the base adjacency
-around the downed elements (:func:`repro.resilience.runner._nearest_cut`).
+read off the surviving path counts of one
+:class:`repro.analysis.whatif.Nominal` (the conditioning primitive churn
+and what-if share); availability is one row per plan (degrade overrides
+applied, gone elements at 0) of one batch over its nominal compile, led
+by the empty-down baseline row.  The nearest-cut diagnostic of an
+unreachable pair walks the base adjacency around the downed elements
+(:func:`repro.resilience.runner._nearest_cut`).
 
 Determinism contract: a campaign is a pure function of its inputs.
 Flapping faults resolve through seeded schedules, evaluation memoizes by
@@ -46,11 +48,8 @@ from typing import (
 
 from repro.analysis.exact import DEFAULT_KERNEL, KERNELS
 from repro.analysis.transformations import component_availabilities
-from repro.analysis.whatif import (
-    _outages,
-    _service_path_sets,
-    conditional_availabilities,
-)
+from repro.analysis.whatif import Nominal
+from repro.core.engine import compile_topology
 from repro.core.mapping import ServiceMapping
 from repro.core.upsim import UPSIM, generate_upsim
 from repro.dependability.availability import (
@@ -263,7 +262,7 @@ def run_campaign(
     *kernel* selects the availability evaluator
     (:data:`repro.analysis.exact.KERNELS`).  The default ``"bdd"``
     compiles the service structure once and evaluates every row in one
-    :meth:`~repro.dependability.bdd.AvailabilityKernel.evaluate_many`
+    :meth:`~repro.dependability.bdd.AvailabilityKernel.evaluate_many_all`
     pass; ``"ie"``/``"enum"`` evaluate row by row.  The report is
     byte-identical for equal inputs regardless of kernel (up to float
     noise between kernels).
@@ -289,8 +288,11 @@ def run_campaign(
         for pair in mapping.pairs_for_service(service)
     )
     nominal_table = component_availabilities(upsim.model, include_links=True)
-    (baseline,) = conditional_availabilities(
-        upsim, [(frozenset(), nominal_table)], kernel=kernel
+    nominal = Nominal(
+        upsim.path_sets,
+        nominal_table,
+        compile_topology(Topology(upsim.model)),
+        kernel=kernel,
     )
 
     if candidates is None:
@@ -304,37 +306,34 @@ def run_campaign(
 
     links = link_names(topology)
     adjacency = _adjacency(topology)
-    # per atomic service and per (requester, provider) pair, the element
-    # sets of its nominal paths
-    service_sets = _service_path_sets(upsim, include_links=True)
-    pair_paths = {
-        (path_set.requester, path_set.provider): service_sets[atomic_service]
+    # each (requester, provider) pair's group in the nominal, and the
+    # elements each atomic service's paths visit
+    services = nominal.group
+    pair_group = {
+        (path_set.requester, path_set.provider): services[atomic_service]
         for atomic_service, path_set in upsim.path_sets.items()
     }
     touched = {
-        atomic_service: frozenset().union(*sets)
-        for atomic_service, sets in service_sets.items()
+        atomic_service: frozenset().union(*nominal.groups[group])
+        for atomic_service, group in services.items()
     }
 
     def condition(
         plan: FaultPlan,
     ) -> Tuple[_Evaluation, Tuple[FrozenSet[str], Dict[str, float]]]:
-        """The plan's diagnostics and outages, read off the nominal paths,
-        and its availability row: the gone elements and the degraded
-        table."""
+        """The plan's diagnostics and outages, read off the nominal's
+        surviving path counts, and its availability row: the gone elements
+        and the degraded table."""
         check_plan(topology, plan, links)
         table = _degraded_table(upsim, plan, nominal_table)
         down = set(plan.downed_nodes())
         cut = set(plan.cut_links())
         gone = frozenset(down | cut)
+        counts = nominal.survivors(gone)
         context = plan.specs()
         diagnostics = []
         for requester, provider in dict.fromkeys(pairs):
-            count = sum(
-                1
-                for path in pair_paths[(requester, provider)]
-                if path.isdisjoint(gone)
-            )
+            count = counts[pair_group[(requester, provider)]]
             status, reason, frontier = "ok", "", ()
             if requester in down or provider in down:
                 role, node = (
@@ -359,7 +358,7 @@ def run_campaign(
                     nearest_cut=frontier,
                 )
             )
-        disconnected, degraded = _outages(service_sets, gone)
+        disconnected = tuple(s for s, g in services.items() if not counts[g])
         # degrade faults leave every path alive but still weaken any
         # service whose paths visit an overridden component
         weakened = {
@@ -367,11 +366,15 @@ def run_campaign(
             for target in plan.overrides()
             if table.get(target) != nominal_table.get(target)
         }
-        degraded = set(degraded).union(
+        degraded = {
             atomic_service
-            for atomic_service, elements in touched.items()
-            if atomic_service not in disconnected and elements & weakened
-        )
+            for atomic_service, group in services.items()
+            if counts[group]
+            and (
+                counts[group] < len(nominal.masks[group])
+                or touched[atomic_service] & weakened
+            )
+        }
         evaluation = _Evaluation(
             diagnostics=tuple(diagnostics),
             unreachable=tuple(
@@ -388,7 +391,8 @@ def run_campaign(
     ) as sweep_span:
         sweep = list(_combinations(fault_pool, k, ticks))
         evaluations: Dict[str, _Evaluation] = {}
-        scenarios = []
+        # the empty-down nominal row leads the batch: the baseline
+        scenarios = [(frozenset(), nominal_table)]
         for _, resolved_plans in sweep:
             for fingerprint, resolved in resolved_plans:
                 if fingerprint in evaluations:
@@ -398,11 +402,9 @@ def run_campaign(
                 evaluations[fingerprint], row = condition(resolved)
                 scenarios.append(row)
         with _trace.span(
-            "campaign.evaluate", rows=len(scenarios), kernel=kernel
+            "campaign.evaluate", rows=len(evaluations), kernel=kernel
         ):
-            availabilities = conditional_availabilities(
-                upsim, scenarios, kernel=kernel
-            )
+            (baseline, *availabilities), _ = nominal.rows(scenarios)
         for evaluation, availability in zip(
             evaluations.values(), availabilities
         ):

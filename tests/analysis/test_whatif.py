@@ -3,7 +3,14 @@
 import pytest
 
 from repro.analysis.whatif import failure_impact, impact_table
+from repro.core import ServiceMapping, ServiceMappingPair, generate_upsim
 from repro.errors import AnalysisError
+from repro.network import Topology
+from repro.network.generators import ring
+from repro.services import AtomicService, CompositeService
+
+# what-if is the third caller of the conditioning primitive campaigns use
+pytestmark = pytest.mark.campaign
 
 
 class TestFailureImpact:
@@ -66,6 +73,28 @@ class TestFailureImpact:
     def test_unknown_component(self, upsim_t1_p2):
         with pytest.raises(AnalysisError):
             failure_impact(upsim_t1_p2, "ghost")
+
+    def test_truncated_path_set_is_rejected(self):
+        """Conditioning a path set cut at ``max_paths`` would drop the
+        paths that survive the fault: on ring(6) one path per pair made
+        ``sw2`` look like a hard outage, where the full UPSIM only loses
+        redundancy."""
+        service = CompositeService.sequential(
+            "access", (AtomicService("a"), AtomicService("b"))
+        )
+        mapping = ServiceMapping(
+            [
+                ServiceMappingPair("a", "client", "server"),
+                ServiceMappingPair("b", "server", "client"),
+            ]
+        )
+        topology = Topology(ring(6).build())
+        full = failure_impact(generate_upsim(topology, service, mapping), "sw2")
+        assert full.disconnected_services == ()
+        assert full.conditional_availability > 0.99
+        truncated = generate_upsim(topology, service, mapping, max_paths=1)
+        with pytest.raises(AnalysisError, match=r"\('client', 'server'\)"):
+            failure_impact(truncated, "sw2")
 
 
 class TestImpactTable:

@@ -146,7 +146,7 @@ class TestDeltaOracleEquivalence:
             live.run(iter([event]))
             oracle.run(iter([event]))
             _assert_equivalent(live, oracle)
-            assert live._nominal.kernel.fingerprint.endswith("|reorder=sift")
+            assert live._base.nominal.kernel.fingerprint.endswith("|reorder=sift")
 
     def test_mobility_events_equivalent(self):
         delta, oracle = _evaluators("campus")

@@ -142,6 +142,16 @@ class TestTimeoutsAndRetries:
         assert diagnostic.attempts == 1
         assert ("t1", "printS") not in outcome.path_sets
 
+    def test_late_result_counts_as_timeout(self, usi_topo):
+        """A discovery that returns after the deadline times out too, even
+        a warm one that finishes before the waiting thread wakes."""
+        discover_many_resilient(usi_topo, PAIRS)
+        outcome = discover_many_resilient(
+            usi_topo, PAIRS, policy=ResiliencePolicy(pair_timeout=1e-6)
+        )
+        assert [d.status for d in outcome.diagnostics] == ["timeout"] * 3
+        assert not outcome.path_sets
+
     def test_transient_error_is_retried(self, usi):
         topology = _FlakyTopology(usi, failures=1)
         diagnostic = discover_many_resilient(

@@ -137,6 +137,11 @@ class TestCallWithDeadline:
             release.set()
         assert outcome == (False, None, None)
 
+    def test_late_result_is_unfinished(self):
+        """Sub-millisecond work can finish before the waiting thread wakes;
+        past the timeout it still comes back unfinished."""
+        assert fanout.call_with_deadline(lambda: 7, 1e-6) == (False, None, None)
+
     @pytest.mark.parametrize("timeout", [None, 5.0])
     def test_error_is_returned_not_raised(self, timeout):
         def work():
