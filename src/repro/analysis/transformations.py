@@ -57,17 +57,35 @@ def component_availabilities(
     Link availabilities are keyed by :func:`link_component_name` of their
     endpoints, matching the component names produced by
     :func:`repro.dependability.cutsets.path_components`.
+
+    Formula 1 resolves once per signature within the call: once per
+    classifier for instances without slots (an instance with slots may
+    override the class values, so it resolves on its own) and once per
+    association for links.  Nothing is kept across calls, so a
+    ``StereotypeApplication.set_value`` always shows in the next table.
     """
     object_model = model.model if isinstance(model, Topology) else model
     table: Dict[str, float] = {}
+    per_class: Dict[object, float] = {}
     for instance in object_model.instances:
-        table[instance.name] = instance_availability(
-            instance, formula=formula
-        ).availability
+        if instance.slots:
+            value = instance_availability(instance, formula=formula).availability
+        else:
+            value = per_class.get(instance.classifier)
+            if value is None:
+                value = per_class[instance.classifier] = instance_availability(
+                    instance, formula=formula
+                ).availability
+        table[instance.name] = value
     if include_links:
+        per_association: Dict[object, float] = {}
         for link in object_model.links:
-            key = link_component_name(link.end1.name, link.end2.name)
-            table[key] = link_availability(link, formula=formula).availability
+            value = per_association.get(link.association)
+            if value is None:
+                value = per_association[link.association] = link_availability(
+                    link, formula=formula
+                ).availability
+            table[link_component_name(link.end1.name, link.end2.name)] = value
     return table
 
 

@@ -84,6 +84,7 @@ __all__ = [
     "kernel_stats",
     "reset_kernel_stats",
     "kernel_cache_info",
+    "kernel_cache_get",
     "kernel_cache_clear",
 ]
 
@@ -1925,6 +1926,12 @@ def kernel_cache_info() -> Dict[str, int]:
         "maxsize": _KERNELS.maxsize,
         "weight": _KERNELS.total_weight,
     }
+
+
+def kernel_cache_get(key: str) -> Optional[AvailabilityKernel]:
+    """The kernel cached under *key* (a ``kernel.fingerprint``): the LRU
+    entry, else the active store's, else ``None``."""
+    return _KERNEL_TIER.get(key)
 
 
 def kernel_cache_clear() -> None:

@@ -9,7 +9,9 @@ million users" into a few numpy passes:
    service mapping is instantiated once, path discovery runs once (the
    engine's PathSet LRU shares the pairs that do not involve the user
    across attachments), and the path-set groups compile into one memoized
-   :class:`~repro.dependability.bdd.AvailabilityKernel`.
+   :class:`~repro.dependability.bdd.AvailabilityKernel`.  Each
+   attachment's plan remembers its kernel's cache key, so a warm op
+   fetches the kernels without re-planning them.
 2. **Shannon expansion on the device** — within an attachment group the
    only per-user annotation is the availability ``d`` of the user's own
    access device.  Components are independent, so the system
@@ -48,12 +50,15 @@ from typing import Callable, Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
+from repro import store as _store
 from repro.analysis.transformations import pair_path_sets
 from repro.core.engine import compile_topology, discover_many
 from repro.core.mapping import ServiceMapping
 from repro.dependability.bdd import (
     AvailabilityKernel,
     compile_many,
+    configure_compile,
+    kernel_cache_get,
     order_from_compiled,
 )
 from repro.errors import AnalysisError
@@ -217,6 +222,28 @@ def _dimension_table(
     )
 
 
+#: Per-attachment compile plans: ``(topology fingerprint, include_links,
+#: reorder mode, distinct pairs)`` -> the cache key of the attachment's
+#: kernel.  A hit fetches the kernel from the kernel tier and skips
+#: discovery, the path-set groups, the variable order and the structure
+#: fingerprint; the kernel LRU stays the only owner of kernels, so a
+#: kernel it evicted (or ``kernel_cache_clear``) just re-plans.
+_PLANS = _store.LRU(maxsize=4096)
+
+
+def _distinct_pairs(
+    mapping: ServiceMapping, service: CompositeService
+) -> Tuple[Tuple[str, str], ...]:
+    """The service's (requester, provider) pairs under *mapping*, one per
+    unordered pair, in first-seen order."""
+    seen: Dict[Tuple[str, str], Tuple[str, str]] = {}
+    for pair in mapping.pairs_for_service(service):
+        key = tuple(sorted((pair.requester, pair.provider)))
+        if key not in seen:
+            seen[key] = (pair.requester, pair.provider)
+    return tuple(seen.values())
+
+
 def _kernels_for_attachments(
     topology: Topology,
     service: CompositeService,
@@ -224,43 +251,53 @@ def _kernels_for_attachments(
     attachments: Sequence[str],
     *,
     include_links: bool,
-) -> Dict[str, AvailabilityKernel]:
-    """One compiled kernel per attachment (the structure-dedup level).
+) -> Tuple[Dict[str, AvailabilityKernel], str]:
+    """One compiled kernel per attachment (the structure-dedup level),
+    plus whether the plans came from the memo: ``"hit"`` (all),
+    ``"miss"`` (none) or ``"partial"``.
 
-    Path discovery is batched through :func:`discover_many` so duplicate
-    pairs — the service legs that do not involve the user, identical for
-    every attachment — enumerate once; kernels memoize by structure
-    fingerprint in the shared LRU.  Cold compiles go through
+    A planned attachment fetches its kernel by cache key.  The rest
+    batch their path discovery through :func:`discover_many`, so
+    duplicate pairs — the service legs that do not involve the user,
+    identical for every attachment — enumerate once; kernels memoize by
+    structure fingerprint in the shared LRU.  Cold compiles go through
     :func:`compile_many`, which fans out as ``configure_compile`` says
     (cached structures never reach its workers).
     """
-    per_attachment_pairs: Dict[str, List[Tuple[str, str]]] = {}
-    all_pairs: List[Tuple[str, str]] = []
+    fingerprint = topology.fingerprint()
+    mode = configure_compile()["reorder"]
+    kernels: Dict[str, AvailabilityKernel] = {}
+    pending: Dict[str, Tuple[Tuple[str, str], ...]] = {}
     for attachment in attachments:
-        mapping = mapping_for(attachment)
-        seen: Dict[Tuple[str, str], Tuple[str, str]] = {}
-        for pair in mapping.pairs_for_service(service):
-            key = tuple(sorted((pair.requester, pair.provider)))
-            if key not in seen:
-                seen[key] = (pair.requester, pair.provider)
-        per_attachment_pairs[attachment] = list(seen.values())
-        all_pairs.extend(seen.values())
+        pairs = _distinct_pairs(mapping_for(attachment), service)
+        key = _PLANS.get((fingerprint, include_links, mode, pairs))
+        kernel = kernel_cache_get(key) if key is not None else None
+        if kernel is None:
+            pending[attachment] = pairs
+        else:
+            kernels[attachment] = kernel
+    if not pending:
+        return kernels, "hit"
 
-    discovered = discover_many(topology, all_pairs)
-
+    discovered = discover_many(
+        topology, [pair for pairs in pending.values() for pair in pairs]
+    )
     compiled_topology = compile_topology(topology)
     structures: List[List[List[FrozenSet[str]]]] = []
     orders: List[Tuple[str, ...]] = []
-    for attachment in attachments:
+    for pairs in pending.values():
         groups = [
             pair_path_sets(discovered[pair], include_links=include_links)
-            for pair in per_attachment_pairs[attachment]
+            for pair in pairs
         ]
         components = {c for group in groups for path in group for c in path}
         structures.append(groups)
         orders.append(order_from_compiled(compiled_topology, components))
     compiled = compile_many(structures, orders=orders)
-    return dict(zip(attachments, compiled))
+    for (attachment, pairs), kernel in zip(pending.items(), compiled):
+        _PLANS.put((fingerprint, include_links, mode, pairs), kernel.fingerprint)
+        kernels[attachment] = kernel
+    return kernels, "partial" if len(pending) < len(attachments) else "miss"
 
 
 def _sorted_percentile(values: np.ndarray, q: float) -> float:
@@ -360,14 +397,17 @@ def evaluate_population(
             np.bincount(population.attachment_index, minlength=n_attachments)
         )
         attachments = [population.attachments[i] for i in present]
-        with _trace.span("workload.compile_keys", keys=len(attachments)):
-            kernels = _kernels_for_attachments(
+        with _trace.span(
+            "workload.compile_keys", keys=len(attachments)
+        ) as keys_span:
+            kernels, plan = _kernels_for_attachments(
                 topology,
                 service,
                 mapping_for,
                 attachments,
                 include_links=include_links,
             )
+            keys_span.set(plan=plan)
 
         # Per key, the root with the device at 0 (a0) and the change when
         # it goes to 1 (slope): the root is linear in each variable.
@@ -441,7 +481,7 @@ def evaluate_population_naive(
     device_avail = population.device_availability(table)
     present = np.unique(population.attachment_index)
     attachments = [population.attachments[i] for i in present]
-    kernels = _kernels_for_attachments(
+    kernels, _ = _kernels_for_attachments(
         topology,
         service,
         mapping_for,

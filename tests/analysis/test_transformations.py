@@ -11,8 +11,23 @@ from repro.analysis.transformations import (
     service_rbd,
 )
 from repro.core.pathdiscovery import PathSet
+from repro.dependability.availability import (
+    instance_availability,
+    link_availability,
+)
+from repro.dependability.cutsets import link_component_name
 from repro.dependability.rbd import Parallel, Series
 from repro.errors import AnalysisError
+from repro.network import Topology
+from repro.network.generators import (
+    balanced_tree,
+    campus,
+    complete,
+    erdos_renyi,
+    ladder,
+    ring,
+)
+from repro.uml.objects import Slot
 
 
 class TestComponentAvailabilities:
@@ -37,6 +52,81 @@ class TestComponentAvailabilities:
     def test_t1_value(self, upsim_t1_p2):
         table = component_availabilities(upsim_t1_p2.model, include_links=False)
         assert table["t1"] == pytest.approx(0.992)
+
+
+def per_component_loop(model, formula):
+    """Formula 1 resolved for every instance and link on its own."""
+    table = {
+        instance.name: instance_availability(instance, formula=formula).availability
+        for instance in model.instances
+    }
+    for link in model.links:
+        table[link_component_name(link.end1.name, link.end2.name)] = (
+            link_availability(link, formula=formula).availability
+        )
+    return table
+
+
+def device_application(cls):
+    """The class's stereotype application that carries MTBF/MTTR."""
+    (app,) = [a for a in cls.applied_stereotypes if "MTBF" in a.values()]
+    return app
+
+
+GENERATED = {
+    "campus": lambda: campus(dist_switches=2, edges_per_dist=2, clients_per_edge=3),
+    "ring": lambda: ring(7),
+    "ladder": lambda: ladder(4),
+    "complete": lambda: complete(5),
+    "tree": lambda: balanced_tree(2, 3),
+    "er": lambda: erdos_renyi(9, 0.4, seed=3),
+}
+
+
+class TestFormulaOnePerSignature:
+    """One Formula-1 resolution per classifier (per association for
+    links) gives the per-component loop's table bit for bit."""
+
+    @pytest.mark.parametrize("formula", ["paper", "exact"])
+    def test_usi_matches_per_component_loop(self, usi, formula):
+        table = component_availabilities(usi, formula=formula)
+        expected = per_component_loop(usi, formula)
+        assert list(table) == list(expected)
+        assert table == expected
+
+    @pytest.mark.parametrize("formula", ["paper", "exact"])
+    @pytest.mark.parametrize("family", sorted(GENERATED))
+    def test_generated_families_match_per_component_loop(self, family, formula):
+        model = GENERATED[family]().build()
+        table = component_availabilities(Topology(model), formula=formula)
+        expected = per_component_loop(model, formula)
+        assert list(table) == list(expected)
+        assert table == expected
+
+    @pytest.mark.parametrize("formula", ["paper", "exact"])
+    def test_slot_override_keeps_its_own_value(self, small_builder, formula):
+        model = small_builder.build()
+        model.get_instance("e").slots.append(Slot("MTBF", "Real", 10.0))
+        table = component_availabilities(model, formula=formula)
+        assert table == per_component_loop(model, formula)
+        # e, a and b share the Sw class; only e carries the slot
+        assert table["a"] == table["b"]
+        assert table["e"] < table["a"]
+
+    def test_set_value_shows_in_the_next_call(self):
+        model = campus(
+            dist_switches=2, edges_per_dist=2, clients_per_edge=3
+        ).build()
+        before = component_availabilities(model)
+        edge = model.get_instance("edge0_0").classifier
+        device_application(edge).set_value("MTBF", 10.0)
+        after = component_availabilities(model)
+        assert after == per_component_loop(model, "paper")
+        for instance in model.instances:
+            if instance.classifier is edge:
+                assert after[instance.name] < before[instance.name]
+            else:
+                assert after[instance.name] == before[instance.name]
 
 
 class TestPairRBD:

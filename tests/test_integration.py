@@ -215,6 +215,7 @@ class TestExamplesSmoke:
             "dynamic_operations",
             "design_space",
             "three_tier",
+            "user_mobility",
         ],
     )
     def test_example_runs(self, module_name, capsys):
