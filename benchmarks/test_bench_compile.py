@@ -3,12 +3,11 @@
 The rebuilt construction path — open-addressed int64 tables, iterative
 worklist apply, level-synchronous bulk batching — must beat the seed's
 dict-and-recursion compiler by 3× on structure families heavy enough
-for table pressure to matter, ``compile_many`` must scale across
-worker processes, and sifting must at least halve the adversarial
-interleaved family.  The dict compiler below is an inline replica of
-the seed implementation (tuple-keyed unique table, recursive apply with
-a dict memo, sequential fold order) so the comparison tracks the real
-before/after of this plane, not a strawman.
+for table pressure to matter, and sifting must at least halve the
+adversarial interleaved family.  The dict compiler below is an inline
+replica of the seed implementation (tuple-keyed unique table, recursive
+apply with a dict memo, sequential fold order) so the comparison tracks
+the real before/after of this plane, not a strawman.
 
 Record a baseline with::
 
@@ -19,21 +18,17 @@ and compare future runs with ``python benchmarks/compare.py``.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import pytest
 
 from repro.dependability.bdd import (
-    compile_many,
     compile_structure,
     frequency_order,
-    kernel_cache_clear,
 )
 
 COMPILE_FLOOR = 3.0
-FANOUT_FLOOR = 2.0
 SIFT_NODE_FLOOR = 2.0
 TOLERANCE = 1e-12
 
@@ -133,7 +128,7 @@ def dict_compile(
 # -- structure families ------------------------------------------------------
 
 
-def windowed_family(windows: int = 300, width: int = 8, tag: str = "w"):
+def windowed_family(windows: int = 300, width: int = 8):
     """A sliding-window redundancy family: path ``i`` is the components
     ``i..i+width`` of one shared pool.  Every level of the diagram hosts
     a wide batch (components are shared by *width* paths), the default
@@ -141,7 +136,7 @@ def windowed_family(windows: int = 300, width: int = 8, tag: str = "w"):
     give the unique/memo tables real pressure, and the diagram stays
     polynomial — the regime the dict compiler handles worst and the
     array plane batches best."""
-    pool = [f"{tag}c{i:04d}" for i in range(windows + width)]
+    pool = [f"wc{i:04d}" for i in range(windows + width)]
     return [[frozenset(pool[i : i + width]) for i in range(windows)]]
 
 
@@ -223,45 +218,6 @@ def test_dict_baseline_recorded(benchmark):
         dict_compile, args=(structure,), rounds=2, iterations=1
     )
     assert system > 1
-
-
-# -- parallel fan-out --------------------------------------------------------
-
-
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 4,
-    reason="compile_many fan-out floor needs >= 4 CPUs",
-)
-def test_compile_many_scales_across_workers(benchmark):
-    """Four workers compile a 12-structure batch ≥2× faster than the
-    in-process loop (identical kernels either way)."""
-    structures = [
-        windowed_family(windows=150, width=6, tag=f"f{i}")
-        for i in range(12)
-    ]
-
-    def serial():
-        kernel_cache_clear()
-        return compile_many(structures, jobs=1, use_cache=False)
-
-    def fanned():
-        kernel_cache_clear()
-        return compile_many(structures, jobs=4)
-
-    fanned()  # warm the pool (spawn startup is not the compile cost)
-    kernels = benchmark.pedantic(fanned, rounds=2, iterations=1)
-    serial_time = _best(serial, reps=2)
-    fan_time = _best(fanned, reps=2)
-    ratio = serial_time / fan_time
-    assert ratio >= FANOUT_FLOOR, (
-        f"compile_many at 4 workers only {ratio:.2f}x over serial"
-    )
-    reference = compile_many(structures, jobs=1, use_cache=False)
-    for kernel, ref in zip(kernels, reference):
-        table = _availability_table(ref.variables)
-        assert kernel.availability(table) == pytest.approx(
-            ref.availability(table), abs=TOLERANCE
-        )
 
 
 # -- sifting on the adversarial family ---------------------------------------

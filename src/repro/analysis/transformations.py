@@ -184,9 +184,10 @@ def service_availability_kernel(upsim: UPSIM, *, include_links: bool = True):
     The variable order comes from the engine's CSR ids
     (:func:`repro.dependability.bdd.order_from_topology`); the
     dynamic-reordering mode on top of that seed order is the process-wide
-    ``configure_compile`` default.  The compiled kernel is memoized by
-    structure fingerprint — a campaign re-evaluating the same UPSIM under
-    hundreds of fault combinations compiles once.
+    ``configure_compile`` default.  The kernel compiles in the calling
+    process and is memoized by structure fingerprint — a campaign
+    re-evaluating the same UPSIM under hundreds of fault combinations
+    compiles once.
     """
     from repro.dependability.bdd import compile_structure, order_from_topology
 

@@ -209,14 +209,6 @@ def _add_compile_args(parser: argparse.ArgumentParser) -> None:
         "badly-bloated diagrams (default), 'sift' always runs a "
         "sifting pass, 'none' keeps the seed order",
     )
-    parser.add_argument(
-        "--compile-jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="BDD compile worker processes for multi-structure fan-out "
-        "(default: in-process serial compilation)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1049,12 +1041,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "startup", startup_from, entered, modules=len(sys.modules)
             )
     reorder_opt: Optional[str] = getattr(args, "reorder", None)
-    compile_jobs_opt: Optional[int] = getattr(args, "compile_jobs", None)
     try:
-        if reorder_opt is not None or compile_jobs_opt is not None:
+        if reorder_opt is not None:
             from repro.dependability.bdd import configure_compile
 
-            configure_compile(reorder=reorder_opt, jobs=compile_jobs_opt)
+            configure_compile(reorder=reorder_opt)
         if store_dir and args.command != "store":
             _artifact_store.configure(store_dir)
         with _trace.activate(tracer):

@@ -40,7 +40,6 @@ the fallback orders by descending occurrence frequency.
 from __future__ import annotations
 
 import hashlib
-import tempfile
 import threading
 from collections import Counter
 from typing import (
@@ -1330,9 +1329,9 @@ _KERNEL_TIER = _store.Tier(
 
 
 #: process-wide compile-plane defaults, set by :func:`configure_compile`
-#: (the CLI's ``--reorder``/``--compile-jobs`` land here)
+#: (the CLI's ``--reorder`` lands here)
 _REORDER_MODES = ("auto", "sift", "none")
-_COMPILE_DEFAULTS = {"reorder": "auto", "jobs": 1}
+_COMPILE_DEFAULTS = {"reorder": "auto"}
 
 #: ``reorder="auto"`` sifts only when the compiled manager is both large
 #: and bloated relative to its input (nodes ≥ growth × total path-set
@@ -1351,27 +1350,12 @@ def _resolve_reorder(reorder: Optional[str]) -> str:
     return mode
 
 
-def configure_compile(
-    *, reorder: Optional[str] = None, jobs: Optional[int] = None
-) -> Dict[str, object]:
-    """Set process-wide compile-plane defaults; returns the active ones.
-
-    *reorder* is the default dynamic-reordering mode ("auto" sifts only
-    badly-bloated managers, "sift" always, "none" never); *jobs* is the
-    default worker count for :func:`compile_many` fan-out.
-    """
+def configure_compile(*, reorder: Optional[str] = None) -> Dict[str, object]:
+    """Set the process-wide default dynamic-reordering mode ("auto"
+    sifts only badly-bloated managers, "sift" always, "none" never);
+    returns the active defaults."""
     if reorder is not None:
-        if reorder not in _REORDER_MODES:
-            raise AnalysisError(
-                f"unknown reorder mode {reorder!r}; choose one of "
-                f"{', '.join(_REORDER_MODES)}"
-            )
-        _COMPILE_DEFAULTS["reorder"] = reorder
-    if jobs is not None:
-        jobs = int(jobs)
-        if jobs < 1:
-            raise AnalysisError(f"compile jobs must be >= 1, got {jobs}")
-        _COMPILE_DEFAULTS["jobs"] = jobs
+        _COMPILE_DEFAULTS["reorder"] = _resolve_reorder(reorder)
     return dict(_COMPILE_DEFAULTS)
 
 
@@ -1549,26 +1533,6 @@ def compile_pair(
     )
 
 
-# -- parallel fan-out ---------------------------------------------------------
-
-
-def _compile_worker(
-    tasks: Sequence[Tuple[List[List[FrozenSet[str]]], Tuple[str, ...]]],
-    store_root: str,
-    mode: str,
-) -> None:
-    """Fan-out worker: compile a bucket of ``(groups, order)`` structures
-    and write each kernel through to the store at *store_root*, where the
-    parent loads it.  Compiles bypass the worker's LRU, so a
-    fork-inherited cache entry can never skip the write."""
-    store = _store.configure(store_root)
-    for groups, order in tasks:
-        kernel = compile_structure(
-            groups, order=order, use_cache=False, reorder=mode
-        )
-        _KERNEL_TIER.save(store, kernel.fingerprint, kernel)
-
-
 def compile_many(
     structures: Sequence[Sequence[Sequence[FrozenSet[str]]]],
     *,
@@ -1576,26 +1540,11 @@ def compile_many(
     order: Optional[Sequence[str]] = None,
     use_cache: bool = True,
     reorder: Optional[str] = None,
-    jobs: Optional[int] = None,
 ) -> List[AvailabilityKernel]:
-    """Compile many independent structures, fanning out across worker
-    processes (:func:`repro.fanout.run`) when ``jobs > 1``.
-
-    Structures already warm in the LRU or the artifact store never reach
-    a worker; the rest compile once per cache key, LPT-balanced across
-    workers by total path-set incidence (the compile-cost proxy).
-    Workers always write through to a store — the active one, or a
-    per-call scratch directory when none is active or ``use_cache`` is
-    off — and the parent loads each kernel with the store's warm-start
-    reader: zero-copy from a real store, copied into memory from the
-    scratch directory, which is removed before the call returns.  A
-    kernel that does not come back (failed worker, unreadable artifact)
-    compiles in-process, so the fan-out is never a correctness
-    dependency; the ``bdd.compile.many`` span counts both outcomes as
-    ``shipped`` and ``fallback``.  Kernels compiled in a worker are
-    flat-backed (no manager), which every evaluation and set query
-    supports.
-    """
+    """Compile many independent structures in this process, one
+    :func:`compile_structure` each (*orders* gives one variable order
+    per structure, *order* one for all).  Duplicate structures share one
+    kernel through the kernel cache."""
     mode = _resolve_reorder(reorder)
     n = len(structures)
     if orders is None:
@@ -1606,86 +1555,10 @@ def compile_many(
                 f"orders must match structures: {len(orders)} != {n}"
             )
         per_order = list(orders)
-    jobs = int(_COMPILE_DEFAULTS["jobs"] if jobs is None else jobs)
-    if jobs < 1:
-        raise AnalysisError(f"compile jobs must be >= 1, got {jobs}")
-    if jobs <= 1 or n <= 1:
-        return [
-            compile_structure(
-                s, order=o, use_cache=use_cache, reorder=mode
-            )
-            for s, o in zip(structures, per_order)
-        ]
-    prepared = [
-        _prepare_structure(s, o, mode)
+    return [
+        compile_structure(s, order=o, use_cache=use_cache, reorder=mode)
         for s, o in zip(structures, per_order)
     ]
-    results: List[Optional[AvailabilityKernel]] = [None] * n
-    store = _store.active_store() if use_cache else None
-    with _trace.span("bdd.compile.many", structures=n, jobs=jobs) as span:
-        # cache key -> indices of the structures it compiles
-        todo: Dict[str, List[int]] = {}
-        for i, (_, _, _, cache_key) in enumerate(prepared):
-            if use_cache:
-                results[i] = _KERNEL_TIER.get(cache_key)
-                if results[i] is not None:
-                    continue
-            todo.setdefault(cache_key, []).append(i)
-        shipped = fallback = 0
-        if todo:
-            from repro import fanout
-
-            firsts = [indices[0] for indices in todo.values()]
-            buckets = fanout.balance(
-                [
-                    sum(len(path) for group in prepared[i][0] for path in group)
-                    for i in firsts
-                ],
-                min(jobs, len(firsts)),
-            )
-            with tempfile.TemporaryDirectory(prefix="repro-compile-") as scratch:
-                target = store if store is not None else _store.ArtifactStore(scratch)
-                try:
-                    fanout.run(
-                        _compile_worker,
-                        [
-                            (
-                                [
-                                    (prepared[firsts[j]][0], prepared[firsts[j]][1])
-                                    for j in bucket
-                                ],
-                                str(target.root),
-                                mode,
-                            )
-                            for bucket in buckets
-                        ],
-                        None,
-                        label="bucket",
-                    )
-                except (AnalysisError, OSError):
-                    pass  # whatever did not come back compiles in-process
-                for cache_key, indices in todo.items():
-                    kernel = _KERNEL_TIER.load(
-                        target, cache_key, copy=store is None
-                    )
-                    if kernel is None:
-                        fallback += 1
-                        kernel = compile_structure(
-                            structures[indices[0]],
-                            order=per_order[indices[0]],
-                            use_cache=use_cache,
-                            reorder=mode,
-                        )
-                    else:
-                        shipped += 1
-                        if use_cache:
-                            _KERNEL_TIER.put(
-                                cache_key, kernel, write_through=False
-                            )
-                    for i in indices:
-                        results[i] = kernel
-        span.set(compiled=len(todo), shipped=shipped, fallback=fallback)
-    return results
 
 
 def _group_digest(canonical_group: Tuple[Tuple[str, ...], ...]) -> str:

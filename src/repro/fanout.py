@@ -1,112 +1,21 @@
-"""Worker fan-out: the one place this package starts workers.
+"""The one worker thread: :func:`call_with_deadline`.
 
-The one process plane — cold BDD compiles
-(:func:`repro.dependability.bdd.compile_many`) — hands its work to
-:func:`run`.  Workers receive only picklable arguments (paths, names,
-small tuples) and move every array through :mod:`repro.store` artifact
-files, so the same worker body runs under every start method.
-
-The start method is chosen from what the process can observe: ``fork``
-when the platform has it and the process runs a single thread, ``spawn``
-otherwise.  A fork copies every lock in the address space in whatever
-state its owner left it, and abandoned resilience/churn daemon threads
-can still be alive, so a threaded process never forks.
-
-Work is spread by :func:`balance`, a greedy longest-processing-time
-assignment, so one giant task cannot serialize the fan-out.
-
-The one worker *thread* is :func:`call_with_deadline`: the resilient
-runner's per-pair timeout and the live evaluator's recompute deadline
-run their attempt on a daemon thread the caller can abandon.  The thread
-re-attaches the caller's current span, so the spans it opens nest where
-an inline call's would.
-
-:mod:`multiprocessing` loads only when a process fan-out runs;
-``import repro.cli`` does not import it.
+The resilient runner's per-pair timeout and the live evaluator's
+recompute deadline run their attempt on a daemon thread the caller can
+abandon.  The thread re-attaches the caller's current span, so the spans
+it opens nest where an inline call's would.  Everything else in this
+package, BDD compiles included, runs in the calling thread.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.errors import AnalysisError
 from repro.obs import trace as _trace
 
-__all__ = ["balance", "start_method", "run", "call_with_deadline"]
-
-
-def balance(costs: Sequence[int], workers: int) -> List[List[int]]:
-    """Greedy longest-processing-time assignment of task indices: tasks
-    sorted by descending cost each go to the least-loaded worker."""
-    assignments: List[List[int]] = [[] for _ in range(workers)]
-    loads = [0] * workers
-    for task_ix in sorted(range(len(costs)), key=lambda i: -costs[i]):
-        worker = loads.index(min(loads))
-        assignments[worker].append(task_ix)
-        loads[worker] += costs[task_ix]
-    return assignments
-
-
-def start_method() -> str:
-    """``"fork"`` when available and no other thread is alive, else
-    ``"spawn"``."""
-    import multiprocessing
-
-    if (
-        "fork" in multiprocessing.get_all_start_methods()
-        and threading.active_count() == 1
-    ):
-        return "fork"
-    return "spawn"
-
-
-def run(
-    target: Callable[..., None],
-    per_worker_args: Sequence[tuple],
-    timeout: Optional[float],
-    *,
-    label: str,
-) -> None:
-    """Run ``target(*args)`` in one process per entry of
-    *per_worker_args*, tagging the caller's current span with
-    ``method=<fork|spawn>``.
-
-    All workers share one deadline *timeout* seconds after the start
-    (``None`` waits indefinitely).  Stragglers are terminated, and one
-    :class:`AnalysisError` names every worker that failed or timed out —
-    ``"<label> <i>: ..."`` for the *i*-th argument tuple.  Every started
-    worker is joined or terminated before the call returns or raises.
-    """
-    import multiprocessing
-
-    method = start_method()
-    span = _trace.current_span()
-    if span is not None:
-        span.set(method=method)
-    ctx = multiprocessing.get_context(method)
-    workers = [ctx.Process(target=target, args=args) for args in per_worker_args]
-    deadline = None if timeout is None else time.monotonic() + timeout
-    failed: List[str] = []
-    try:
-        for worker in workers:
-            worker.start()
-        for worker_ix, worker in enumerate(workers):
-            worker.join(
-                None if deadline is None else max(0.0, deadline - time.monotonic())
-            )
-            if worker.is_alive():
-                failed.append(f"{label} {worker_ix}: timed out after {timeout}s")
-            elif worker.exitcode != 0:
-                failed.append(f"{label} {worker_ix}: exit code {worker.exitcode}")
-    finally:
-        for worker in workers:
-            if worker.is_alive():
-                worker.terminate()
-                worker.join()
-    if failed:
-        raise AnalysisError(f"{label} worker(s) failed: " + "; ".join(failed))
+__all__ = ["call_with_deadline"]
 
 
 def call_with_deadline(

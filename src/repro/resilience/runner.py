@@ -86,11 +86,11 @@ class ResiliencePolicy:
     backoff: float = 0.05
 
     def __post_init__(self):
-        if self.pair_timeout is not None and self.pair_timeout <= 0:
+        if self.pair_timeout is not None and not self.pair_timeout > 0:
             raise ValueError("pair_timeout must be > 0 or None")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
-        if self.backoff < 0:
+        if not self.backoff >= 0:
             raise ValueError("backoff must be >= 0")
 
 

@@ -4,7 +4,7 @@ The engine and the BDD kernel already key every compiled structure by a
 blake2b content fingerprint, and every hot structure already linearizes
 to flat numpy arrays (CSR ``indptr``/``indices``, the kernel's
 ``var``/``low``/``high`` node tables).  This module persists exactly
-those arrays so a **fresh process** — a CLI run, a campaign worker, a
+those arrays so a **fresh process** — a CLI run, a batch script, a
 future service deploy — skips recompilation entirely:
 
 * objects live under ``<root>/objects/<digest[:2]>/<digest>`` where the
@@ -12,8 +12,8 @@ future service deploy — skips recompilation entirely:
   key the in-process LRUs use, so the store is a transparent second
   cache tier underneath them;
 * writes are atomic (``tmp`` file + :func:`os.replace`) and serialized
-  by an advisory file lock, so concurrent writers — compile workers,
-  parallel CLI runs — can race on the same object without ever exposing
+  by an advisory file lock, so concurrent writers — parallel CLI runs
+  sharing one store — can race on the same object without ever exposing
   a half-written file;
 * every container carries a payload digest that is verified on open; a
   truncated or corrupted artifact reads as a **miss** (the file is
@@ -53,8 +53,7 @@ miss.  Three artifact kinds use it:
 * ``pathset`` — one enumeration, keyed by fingerprint, endpoints and
   bounds (:func:`repro.core.engine.discover`);
 * ``kernel`` — a compiled BDD's linearized DAG, keyed by the structure
-  fingerprint (:func:`repro.dependability.bdd.compile_structure` and
-  ``compile_many``).
+  fingerprint (:func:`repro.dependability.bdd.compile_structure`).
 
 Nothing in this module imports the engine or the kernel: the store
 moves raw arrays and metadata; ``repro.core.engine`` and
@@ -647,15 +646,28 @@ _BY_ROOT: Dict[str, ArtifactStore] = {}
 _CONFIG_LOCK = threading.Lock()
 
 
+def _env_max_bytes() -> Optional[int]:
+    """``REPRO_STORE_MAX_BYTES`` as a byte bound, ``None`` when unset;
+    anything but an integer >= 0 is a :class:`StoreError`."""
+    raw = os.environ.get(ENV_MAX_BYTES)
+    if not raw:
+        return None
+    try:
+        max_bytes = int(raw)
+    except ValueError:
+        max_bytes = -1
+    if max_bytes < 0:
+        raise StoreError(
+            f"{ENV_MAX_BYTES} must be an integer >= 0, got {raw!r}"
+        )
+    return max_bytes
+
+
 def _store_for(root: str) -> ArtifactStore:
     with _CONFIG_LOCK:
         store = _BY_ROOT.get(root)
         if store is None:
-            max_bytes_env = os.environ.get(ENV_MAX_BYTES)
-            store = ArtifactStore(
-                root,
-                max_bytes=int(max_bytes_env) if max_bytes_env else None,
-            )
+            store = ArtifactStore(root, max_bytes=_env_max_bytes())
             _BY_ROOT[root] = store
         return store
 
@@ -818,18 +830,14 @@ class Tier:
             self.put(key, value)
         return value
 
-    def load(self, store: ArtifactStore, key, *, copy: bool = False):
+    def load(self, store: ArtifactStore, key):
         """Decode *key* from *store*, or ``None`` on a miss, a corrupt
-        object or a foreign payload.  With *copy* the arrays are copied
-        out of the mapping, so the value outlives the file."""
+        object or a foreign payload."""
         artifact = store.get(self.kind, _key_parts(key))
         if artifact is None:
             return None
-        arrays = artifact.arrays
-        if copy:
-            arrays = {name: np.array(array) for name, array in arrays.items()}
         try:
-            return self.decode(key, arrays, artifact.meta)
+            return self.decode(key, artifact.arrays, artifact.meta)
         except (KeyError, TypeError, ValueError, IndexError, ReproError):
             return None
 

@@ -260,9 +260,8 @@ def _kernels_for_attachments(
     batch their path discovery through :func:`discover_many`, so
     duplicate pairs — the service legs that do not involve the user,
     identical for every attachment — enumerate once; kernels memoize by
-    structure fingerprint in the shared LRU.  Cold compiles go through
-    :func:`compile_many`, which fans out as ``configure_compile`` says
-    (cached structures never reach its workers).
+    structure fingerprint in the shared LRU.  Cold compiles run in this
+    process through :func:`compile_many`.
     """
     fingerprint = topology.fingerprint()
     mode = configure_compile()["reorder"]

@@ -2,11 +2,6 @@
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import tempfile
-import threading
-
 import pytest
 
 from repro.casestudy import (
@@ -88,57 +83,3 @@ def diamond(small_builder):
 @pytest.fixture()
 def diamond_topo(diamond):
     return Topology(diamond)
-
-
-# -- process fan-out (repro.fanout) -------------------------------------------
-
-
-def _fanout_scratch():
-    """Fan-out scratch directories under the temp dir, plus the names in
-    /dev/shm (POSIX shared memory), as one comparable snapshot."""
-    scratch = {
-        name
-        for name in os.listdir(tempfile.gettempdir())
-        if name.startswith("repro-compile-")
-    }
-    try:
-        shm = set(os.listdir("/dev/shm"))
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        shm = set()
-    return scratch, shm
-
-
-@pytest.fixture()
-def no_fanout_leftovers():
-    """Fail the test if it leaves a fan-out scratch directory or a new
-    /dev/shm entry behind, whichever way its fan-out ended."""
-    before = _fanout_scratch()
-    yield
-    assert _fanout_scratch() == before
-
-
-@pytest.fixture()
-def forked_workers():
-    """Fan-outs in this test start with fork, so a monkeypatched worker
-    body reaches the children.  Threads earlier tests abandoned get a
-    few seconds to finish; the test skips where fork is unavailable or
-    they are still alive."""
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("no fork start method on this platform")
-    for thread in threading.enumerate():
-        if thread is not threading.current_thread():
-            thread.join(timeout=5.0)
-    if threading.active_count() != 1:
-        pytest.skip("threads abandoned by earlier tests are still alive")
-
-
-@pytest.fixture()
-def helper_thread():
-    """A live helper thread for the test's duration: fan-outs must spawn."""
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait, daemon=True)
-    thread.start()
-    yield thread
-    stop.set()
-    thread.join(timeout=5.0)
-    assert not thread.is_alive()

@@ -30,6 +30,8 @@ class TestPolicy:
             {"pair_timeout": 0.0},
             {"retries": -1},
             {"backoff": -0.1},
+            {"pair_timeout": float("nan")},
+            {"backoff": float("nan")},
         ],
     )
     def test_validation(self, kwargs):

@@ -317,6 +317,30 @@ class TestStoreCommand:
         assert code == 14  # StoreError
         assert "no store directory" in capsys.readouterr().err
 
+    def test_malformed_max_bytes_with_store_flag_exits_14(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro import store as store_mod
+
+        monkeypatch.setenv(store_mod.ENV_MAX_BYTES, "abc")
+        code = main(["casestudy", "--store", str(tmp_path / "artifacts")])
+        assert code == 14  # StoreError
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: REPRO_STORE_MAX_BYTES must be an integer >= 0, got 'abc'"
+        ]
+
+    def test_malformed_max_bytes_with_env_store_runs_without_store(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro import store as store_mod
+
+        monkeypatch.setenv(store_mod.ENV_STORE, str(tmp_path / "from-env"))
+        monkeypatch.setenv(store_mod.ENV_MAX_BYTES, "abc")
+        assert main(["casestudy"]) == 0
+        assert "printS" in capsys.readouterr().out
+        assert not (tmp_path / "from-env").exists()
+
     def test_env_variable_names_the_store(self, tmp_path, capsys, monkeypatch):
         from repro import store as store_mod
         from repro.store import ArtifactStore

@@ -1,18 +1,11 @@
-"""The one worker fan-out (:mod:`repro.fanout`) every parallel route uses.
+"""The one worker thread (:func:`repro.fanout.call_with_deadline`).
 
-``compile_many`` picks the start method by one rule — fork in a
-single-threaded process that has it, spawn otherwise — so these tests
-drive it through both methods on Linux without any knob: a live helper
-thread is what makes it spawn.
-The deadline thread of the resilient runner and the live evaluator
-(:func:`repro.fanout.call_with_deadline`) must keep its spans under the
-caller's.
+The deadline thread of the resilient runner and the live evaluator must
+keep its spans under the caller's.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import sys
 import threading
 
 import pytest
@@ -21,85 +14,11 @@ from repro import fanout
 from repro.cli import main
 from repro.core import engine
 from repro.core.churn import ChurnPolicy, LinkCut, LiveEvaluator
-from repro.dependability.bdd import compile_many, compile_structure, kernel_cache_clear
-from repro.errors import AnalysisError
+from repro.dependability.bdd import kernel_cache_clear
 from repro.network.generators import campus
 from repro.obs.trace import Tracer, activate, load
 
 pytestmark = pytest.mark.fanout
-
-STRUCTURES = [
-    [[frozenset({f"s{s}a", f"s{s}b"}), frozenset({f"s{s}a", f"s{s}c"})]]
-    for s in range(5)
-] + [[[frozenset({"x", "y"})], [frozenset({"y", "z"}), frozenset({"w"})]]]
-
-
-def _exit_with(code):
-    sys.exit(code)
-
-
-def run_compile_plane():
-    """Fan a cold compile out, traced; return the start method its span
-    recorded."""
-    reference = [compile_structure(s, use_cache=False) for s in STRUCTURES]
-    kernel_cache_clear()
-    tracer = Tracer()
-    with activate(tracer):
-        kernels = compile_many(STRUCTURES, jobs=2)
-    for kernel, ref in zip(kernels, reference):
-        assert kernel.variables == ref.variables
-        assert kernel.fingerprint == ref.fingerprint
-        table = {v: 0.7 + 0.02 * i for i, v in enumerate(ref.variables)}
-        assert kernel.availability(table) == ref.availability(table)
-        assert set(kernel.minimal_path_sets()) == set(ref.minimal_path_sets())
-    (many_span,) = tracer.find("bdd.compile.many")
-    assert many_span.attrs["shipped"] == len(STRUCTURES)
-    assert many_span.attrs["fallback"] == 0
-    return many_span.attrs["method"]
-
-
-class TestBalance:
-    def test_spreads_by_cost(self):
-        assignments = fanout.balance([100, 1, 1, 1, 1], workers=2)
-        loads = [sum([100, 1, 1, 1, 1][i] for i in a) for a in assignments]
-        # the four small tasks all land opposite the giant one
-        assert sorted(loads) == [4, 100]
-
-    def test_every_task_assigned_once(self):
-        assignments = fanout.balance([3, 5, 2, 8, 1, 1], workers=3)
-        flat = sorted(i for a in assignments for i in a)
-        assert flat == [0, 1, 2, 3, 4, 5]
-
-
-class TestRun:
-    def test_names_every_failed_worker(self):
-        with pytest.raises(
-            AnalysisError, match="job 1: exit code 3; job 2: exit code 4"
-        ):
-            fanout.run(_exit_with, [(0,), (3,), (4,)], 60.0, label="job")
-
-
-class TestStartMethod:
-    def test_live_thread_spawns(self, helper_thread, no_fanout_leftovers):
-        """Abandoned daemon threads may hold locks a fork would copy."""
-        assert fanout.start_method() == "spawn"
-        assert run_compile_plane() == "spawn"
-
-    @pytest.mark.skipif(sys.platform != "linux", reason="fork is Linux-only here")
-    def test_single_threaded_linux_forks(
-        self, forked_workers, no_fanout_leftovers
-    ):
-        assert fanout.start_method() == "fork"
-        assert run_compile_plane() == "fork"
-
-    def test_platform_without_fork_spawns(
-        self, monkeypatch, no_fanout_leftovers
-    ):
-        """Where fork does not exist, the plane still fans out."""
-        monkeypatch.setattr(
-            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
-        )
-        assert run_compile_plane() == "spawn"
 
 
 def _root_layers(roots):

@@ -383,6 +383,16 @@ class TestConfiguration:
         monkeypatch.setenv(store_mod.ENV_MAX_BYTES, "12345")
         assert store_mod.active_store().max_bytes == 12345
 
+    @pytest.mark.parametrize("raw", ["abc", "-1", "1.5"])
+    def test_malformed_env_max_bytes_is_a_store_error(
+        self, tmp_path, monkeypatch, raw
+    ):
+        monkeypatch.setenv(store_mod.ENV_MAX_BYTES, raw)
+        with pytest.raises(StoreError, match=f"REPRO_STORE_MAX_BYTES .*'{raw}'"):
+            store_mod.configure(tmp_path / "explicit")
+        monkeypatch.setenv(store_mod.ENV_STORE, str(tmp_path / "env"))
+        assert store_mod.active_store() is None  # never crashes a run
+
 
 # -- cache-tier integration ----------------------------------------------------
 
