@@ -232,6 +232,10 @@ def analyze_upsim(
         raise AnalysisError(
             f"unknown availability kernel {kernel!r}; expected one of {KERNELS}"
         )
+    if montecarlo_samples < 0:
+        raise AnalysisError(
+            f"Monte-Carlo samples must be >= 0, got {montecarlo_samples}"
+        )
     with _trace.span(
         "analysis.analyze_upsim", service=upsim.service_name, kernel=kernel
     ):

@@ -182,9 +182,9 @@ def service_availability_kernel(upsim: UPSIM, *, include_links: bool = True):
     Groups follow :func:`service_path_set_groups` order (distinct pairs),
     so ``kernel.group_roots[i]`` is the i-th distinct pair's function.
     The variable order comes from the engine's CSR ids
-    (:func:`repro.dependability.bdd.order_from_topology`); the
-    dynamic-reordering mode on top of that seed order is the process-wide
-    ``configure_compile`` default.  The kernel compiles in the calling
+    (:func:`repro.dependability.bdd.order_from_topology`); the compile
+    sifts away from that seed order only when the diagram blows up
+    relative to its input.  The kernel compiles in the calling
     process and is memoized by structure fingerprint — a campaign
     re-evaluating the same UPSIM under hundreds of fault combinations
     compiles once.

@@ -84,8 +84,8 @@ class Nominal:
     """The nominal service structure, conditioned on down sets.
 
     Built from keyed path sets (atomic services or endpoint pairs), the
-    Formula-1 *table*, the compiled topology whose CSR ids give the
-    variable order and the *reorder* mode.  Keys with the same unordered
+    Formula-1 *table* and the compiled topology whose CSR ids give the
+    variable order.  Keys with the same unordered
     endpoints describe one connectivity event and share one group
     (``group`` maps each key to it).  ``masks`` holds each group's paths
     as int bitmasks over the components (``bits``); with ``kernel="bdd"``
@@ -102,7 +102,6 @@ class Nominal:
         table: Mapping[str, float],
         compiled: CompiledTopology,
         *,
-        reorder: Optional[str] = None,
         include_links: bool = True,
         kernel: str = DEFAULT_KERNEL,
     ):
@@ -144,7 +143,6 @@ class Nominal:
             self.kernel = compile_structure(
                 [sorted(self.groups[i], key=sorted) for i in self._live],
                 order=order,
-                reorder=reorder,
             )
             self.vector = self.kernel.probability_vector(table)
 
@@ -224,8 +222,7 @@ def _impacts(
     """One :class:`FailureImpact` per down set: the baseline and every
     conditioned availability are rows of one :meth:`Nominal.rows` call,
     under the variable order of
-    :func:`~repro.analysis.transformations.service_availability_kernel`
-    and the process reorder default."""
+    :func:`~repro.analysis.transformations.service_availability_kernel`."""
     nominal = Nominal(
         upsim.path_sets,
         table,

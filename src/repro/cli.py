@@ -200,17 +200,6 @@ def _add_dimensions_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_compile_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--reorder",
-        choices=("auto", "sift", "none"),
-        default=None,
-        help="BDD dynamic variable reordering: 'auto' sifts only "
-        "badly-bloated diagrams (default), 'sift' always runs a "
-        "sifting pass, 'none' keeps the seed order",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="upsim",
@@ -248,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
         "inclusion-exclusion, or reference state enumeration",
     )
     _add_dimensions_arg(case)
-    _add_compile_args(case)
     _add_observability_args(case)
 
     campaign = sub.add_parser(
@@ -287,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="bdd",
         help="availability evaluator for the sweep (default: compiled BDD)",
     )
-    _add_compile_args(campaign)
     _add_observability_args(campaign)
 
     population = sub.add_parser(
@@ -312,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     population.add_argument(
         "--top", type=int, default=5, help="worst-served users to list"
     )
-    _add_compile_args(population)
     _add_observability_args(population)
 
     churn = sub.add_parser(
@@ -370,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     churn.add_argument(
         "--json", action="store_true", help="machine-readable report"
     )
-    _add_compile_args(churn)
     _add_observability_args(churn)
 
     store_cmd = sub.add_parser(
@@ -440,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="availability analysis of a UPSIM")
     add_model_args(analyze, True)
-    _add_compile_args(analyze)
     analyze.add_argument("--formula", choices=("paper", "exact"), default="paper")
     analyze.add_argument("--mc", type=int, default=0)
     analyze.add_argument(
@@ -699,9 +683,7 @@ def cmd_churn(args: argparse.Namespace) -> int:
         coalesce_window=args.window,
         delta=not args.full,
     )
-    evaluator = LiveEvaluator(
-        model, pairs, policy=policy, reorder=getattr(args, "reorder", None) or "none"
-    )
+    evaluator = LiveEvaluator(model, pairs, policy=policy)
     stream = ChurnStream(model, pairs, seed=args.seed)
     report = evaluator.run(stream.events(args.events))
     if args.json:
@@ -1040,12 +1022,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             tracer.record(
                 "startup", startup_from, entered, modules=len(sys.modules)
             )
-    reorder_opt: Optional[str] = getattr(args, "reorder", None)
     try:
-        if reorder_opt is not None:
-            from repro.dependability.bdd import configure_compile
-
-            configure_compile(reorder=reorder_opt)
         if store_dir and args.command != "store":
             _artifact_store.configure(store_dir)
         with _trace.activate(tracer):

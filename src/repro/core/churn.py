@@ -529,7 +529,6 @@ class LiveEvaluator:
         pairs: Sequence[Tuple[str, str]],
         *,
         policy: Optional[ChurnPolicy] = None,
-        reorder: str = "none",
     ):
         if not pairs:
             raise TopologyError("live evaluation requires at least one pair")
@@ -537,8 +536,6 @@ class LiveEvaluator:
         self.topology = Topology(infrastructure)
         self.pairs: List[Tuple[str, str]] = [tuple(p) for p in pairs]
         self.policy = policy or ChurnPolicy()
-        #: reordering mode of the nominal kernel, applied at each rebase
-        self._reorder = reorder
         self._base: Optional[_Base] = None
         self._lock = threading.Lock()
         self._snapshot: Optional[EpochSnapshot] = None
@@ -747,7 +744,7 @@ class LiveEvaluator:
                 base = _Base(
                     pairs,
                     frozenset(_elements(compiled)),
-                    Nominal(known, availabilities, compiled, reorder=self._reorder),
+                    Nominal(known, availabilities, compiled),
                 )
             nominal = base.nominal
             counts = nominal.survivors(down)

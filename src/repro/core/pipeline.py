@@ -331,9 +331,9 @@ class MethodologyPipeline:
         with ``"bdd"`` the service structure is compiled into the
         memoized BDD kernel as part of Step 8, so the first
         :meth:`analyze` (and every campaign evaluation of this UPSIM)
-        starts from a warm cache.  The reorder mode comes from
-        :func:`repro.dependability.bdd.configure_compile`; the compile
-        runs in this process.
+        starts from a warm cache.  The compile runs in this process and
+        sifts the variable order only when the diagram blows up
+        relative to its input.
         """
         self._require_inputs()
         assert self._infrastructure and self._service and self._mapping

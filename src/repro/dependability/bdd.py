@@ -73,7 +73,6 @@ __all__ = [
     "compile_structure",
     "compile_many",
     "compile_pair",
-    "configure_compile",
     "structure_fingerprint",
     "frequency_order",
     "order_from_topology",
@@ -1328,35 +1327,11 @@ _KERNEL_TIER = _store.Tier(
 )
 
 
-#: process-wide compile-plane defaults, set by :func:`configure_compile`
-#: (the CLI's ``--reorder`` lands here)
-_REORDER_MODES = ("auto", "sift", "none")
-_COMPILE_DEFAULTS = {"reorder": "auto"}
-
-#: ``reorder="auto"`` sifts only when the compiled manager is both large
-#: and bloated relative to its input (nodes ≥ growth × total path-set
+#: a compile sifts only when the compiled manager is both large and
+#: bloated relative to its input (nodes ≥ growth × total path-set
 #: incidences) — well-ordered structures never pay the sifting pass
 _AUTO_MIN_NODES = 2048
 _AUTO_GROWTH = 8
-
-
-def _resolve_reorder(reorder: Optional[str]) -> str:
-    mode = _COMPILE_DEFAULTS["reorder"] if reorder is None else reorder
-    if mode not in _REORDER_MODES:
-        raise AnalysisError(
-            f"unknown reorder mode {mode!r}; choose one of "
-            f"{', '.join(_REORDER_MODES)}"
-        )
-    return mode
-
-
-def configure_compile(*, reorder: Optional[str] = None) -> Dict[str, object]:
-    """Set the process-wide default dynamic-reordering mode ("auto"
-    sifts only badly-bloated managers, "sift" always, "none" never);
-    returns the active defaults."""
-    if reorder is not None:
-        _COMPILE_DEFAULTS["reorder"] = _resolve_reorder(reorder)
-    return dict(_COMPILE_DEFAULTS)
 
 
 def _checked_groups(
@@ -1374,14 +1349,10 @@ def _checked_groups(
 def _prepare_structure(
     path_set_groups: Sequence[Sequence[FrozenSet[str]]],
     order: Optional[Sequence[str]],
-    mode: str,
-) -> Tuple[List[List[FrozenSet[str]]], Tuple[str, ...], str, str]:
-    """Validate inputs and resolve ``(groups, ordered, fingerprint,
-    cache_key)``.  The cache key is the structure fingerprint, tagged
-    only under explicit ``reorder="sift"`` — "auto"/"none" kernels are
-    interchangeable (sifting preserves the evaluated function exactly,
-    and auto only fires on structures neither mode pins), so they share
-    the untagged key and the warm-start tiers stay mode-agnostic."""
+) -> Tuple[List[List[FrozenSet[str]]], Tuple[str, ...], str]:
+    """Validate inputs and resolve ``(groups, ordered, fingerprint)``.
+    The fingerprint is the cache key: whether a compile sifts is decided
+    by the structure itself, so one structure has one kernel."""
     groups = _checked_groups(path_set_groups)
     components = {c for group in groups for path in group for c in path}
     if not components:
@@ -1402,11 +1373,7 @@ def _prepare_structure(
             raise AnalysisError(
                 f"variable order does not cover components {sorted(missing)}"
             )
-    fingerprint = structure_fingerprint(groups, ordered)
-    cache_key = (
-        fingerprint + "|reorder=sift" if mode == "sift" else fingerprint
-    )
-    return groups, ordered, fingerprint, cache_key
+    return groups, ordered, structure_fingerprint(groups, ordered)
 
 
 def _build_group_roots(
@@ -1458,7 +1425,6 @@ def compile_structure(
     *,
     order: Optional[Sequence[str]] = None,
     use_cache: bool = True,
-    reorder: Optional[str] = None,
 ) -> AvailabilityKernel:
     """Compile path-set groups (the :func:`system_availability` input
     shape) into an :class:`AvailabilityKernel`, memoized by structure
@@ -1468,19 +1434,16 @@ def compile_structure(
     conjunction of the group roots, and any component shared across pairs
     is a single decision level reused by every function that tests it.
     Construction goes through the array-native bulk plane (open-addressed
-    tables + level-synchronous apply batches); *reorder* selects the
-    dynamic variable-reordering mode ("auto" by default — sifting fires
-    only on managers that blew up relative to their input structure).
+    tables + level-synchronous apply batches).  A sifting pass reorders
+    the variables only when the manager blew up relative to its input
+    structure (see ``_AUTO_MIN_NODES``/``_AUTO_GROWTH``).
 
     With an artifact store active (``REPRO_STORE``/``--store``) an LRU
     miss first tries the on-disk linearized arrays — a fresh process
     evaluating known structures performs zero BDD construction — and a
     fresh compile writes through for the next process.
     """
-    mode = _resolve_reorder(reorder)
-    groups, ordered, fingerprint, cache_key = _prepare_structure(
-        path_set_groups, order, mode
-    )
+    groups, ordered, fingerprint = _prepare_structure(path_set_groups, order)
 
     def compile_() -> AvailabilityKernel:
         with _trace.span(
@@ -1498,16 +1461,13 @@ def compile_structure(
             )[0]
             variables = tuple(ordered)
             incidences = sum(len(path) for group in groups for path in group)
-            if mode == "sift" or (
-                mode == "auto"
-                and len(bdd) - 2 >= _AUTO_MIN_NODES
-                and len(bdd) - 2 >= _AUTO_GROWTH * max(1, incidences)
-            ):
+            bloat = max(_AUTO_MIN_NODES, _AUTO_GROWTH * max(1, incidences))
+            if len(bdd) - 2 >= bloat:
                 bdd, (system, *group_roots), variables = _sift(
                     bdd, [system, *group_roots], variables
                 )
             kernel = AvailabilityKernel(
-                bdd, system, group_roots, variables, cache_key
+                bdd, system, group_roots, variables, fingerprint
             )
             span.set(nodes=len(bdd) - 2, ite_cache_hits=bdd.cache_hits)
         with _STATS_LOCK:
@@ -1517,7 +1477,7 @@ def compile_structure(
         _flush_table_metrics(bdd)
         return kernel
 
-    return _KERNEL_TIER.fetch(cache_key, compile_) if use_cache else compile_()
+    return _KERNEL_TIER.fetch(fingerprint, compile_) if use_cache else compile_()
 
 
 def compile_pair(
@@ -1525,12 +1485,9 @@ def compile_pair(
     *,
     order: Optional[Sequence[str]] = None,
     use_cache: bool = True,
-    reorder: Optional[str] = None,
 ) -> AvailabilityKernel:
     """Compile a single pair's path sets."""
-    return compile_structure(
-        [list(path_sets)], order=order, use_cache=use_cache, reorder=reorder
-    )
+    return compile_structure([list(path_sets)], order=order, use_cache=use_cache)
 
 
 def compile_many(
@@ -1539,13 +1496,11 @@ def compile_many(
     orders: Optional[Sequence[Optional[Sequence[str]]]] = None,
     order: Optional[Sequence[str]] = None,
     use_cache: bool = True,
-    reorder: Optional[str] = None,
 ) -> List[AvailabilityKernel]:
     """Compile many independent structures in this process, one
     :func:`compile_structure` each (*orders* gives one variable order
     per structure, *order* one for all).  Duplicate structures share one
     kernel through the kernel cache."""
-    mode = _resolve_reorder(reorder)
     n = len(structures)
     if orders is None:
         per_order: List[Optional[Sequence[str]]] = [order] * n
@@ -1556,7 +1511,7 @@ def compile_many(
             )
         per_order = list(orders)
     return [
-        compile_structure(s, order=o, use_cache=use_cache, reorder=mode)
+        compile_structure(s, order=o, use_cache=use_cache)
         for s, o in zip(structures, per_order)
     ]
 
@@ -1612,21 +1567,11 @@ class IncrementalAvailabilityKernel:
     _GC_FRACTION = 0.25
     _GC_SLACK = 1 << 19
 
-    def __init__(self, reorder: str = "none") -> None:
-        if reorder not in ("none", "sift"):
-            raise AnalysisError(
-                f"unknown incremental reorder mode {reorder!r}; "
-                f"choose 'none' or 'sift'"
-            )
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._bdd: Optional[BDD] = None
         self._order: Tuple[str, ...] = ()
         self._group_roots: Dict[str, int] = {}
-        self._reorder = reorder
-        #: sifting is only legal at epoch boundaries (a fresh build or a
-        #: garbage rebuild): in between, the established order keeps every
-        #: cached group root valid
-        self._sift_pending = False
         self.stats = {
             "recompiles": 0,
             "group_hits": 0,
@@ -1648,7 +1593,6 @@ class IncrementalAvailabilityKernel:
         self._order = ordered
         self._bdd = BDD(len(ordered))
         self._group_roots = {}
-        self._sift_pending = self._reorder == "sift"
         self.stats["rebuilds"] += 1
         _M_REBUILDS.inc()
 
@@ -1707,20 +1651,6 @@ class IncrementalAvailabilityKernel:
             system = bdd.reduce_many(
                 _OP_AND, [np.array(unique_roots, dtype=np.int64)]
             )[0]
-            if self._sift_pending and len(bdd) > 2:
-                # sift at the epoch boundary, remapping the digest cache,
-                # the current roots and the established variable order
-                # into the reordered manager (later epochs grow it)
-                self._sift_pending = False
-                n = len(group_roots)
-                bdd, roots, self._order = _sift(
-                    bdd,
-                    [system, *group_roots, *self._group_roots.values()],
-                    self._order,
-                )
-                self._bdd = bdd
-                system, group_roots = roots[0], roots[1 : n + 1]
-                self._group_roots = dict(zip(self._group_roots, roots[n + 1 :]))
             kernel = AvailabilityKernel(
                 bdd,
                 system,

@@ -159,6 +159,8 @@ class CampaignReport:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     def to_text(self, *, limit: Optional[int] = 10) -> str:
+        if limit is not None and limit < 0:
+            raise FaultPlanError(f"campaign ranking needs limit >= 0, got {limit}")
         lines = [
             f"fault campaign for service {self.service_name!r} "
             f"(baseline availability {self.baseline_availability:.9f})",

@@ -57,7 +57,6 @@ from repro.core.mapping import ServiceMapping
 from repro.dependability.bdd import (
     AvailabilityKernel,
     compile_many,
-    configure_compile,
     kernel_cache_get,
     order_from_compiled,
 )
@@ -223,7 +222,7 @@ def _dimension_table(
 
 
 #: Per-attachment compile plans: ``(topology fingerprint, include_links,
-#: reorder mode, distinct pairs)`` -> the cache key of the attachment's
+#: distinct pairs)`` -> the structure fingerprint of the attachment's
 #: kernel.  A hit fetches the kernel from the kernel tier and skips
 #: discovery, the path-set groups, the variable order and the structure
 #: fingerprint; the kernel LRU stays the only owner of kernels, so a
@@ -256,7 +255,7 @@ def _kernels_for_attachments(
     plus whether the plans came from the memo: ``"hit"`` (all),
     ``"miss"`` (none) or ``"partial"``.
 
-    A planned attachment fetches its kernel by cache key.  The rest
+    A planned attachment fetches its kernel by structure fingerprint.  The rest
     batch their path discovery through :func:`discover_many`, so
     duplicate pairs — the service legs that do not involve the user,
     identical for every attachment — enumerate once; kernels memoize by
@@ -264,12 +263,11 @@ def _kernels_for_attachments(
     process through :func:`compile_many`.
     """
     fingerprint = topology.fingerprint()
-    mode = configure_compile()["reorder"]
     kernels: Dict[str, AvailabilityKernel] = {}
     pending: Dict[str, Tuple[Tuple[str, str], ...]] = {}
     for attachment in attachments:
         pairs = _distinct_pairs(mapping_for(attachment), service)
-        key = _PLANS.get((fingerprint, include_links, mode, pairs))
+        key = _PLANS.get((fingerprint, include_links, pairs))
         kernel = kernel_cache_get(key) if key is not None else None
         if kernel is None:
             pending[attachment] = pairs
@@ -294,7 +292,7 @@ def _kernels_for_attachments(
         orders.append(order_from_compiled(compiled_topology, components))
     compiled = compile_many(structures, orders=orders)
     for (attachment, pairs), kernel in zip(pending.items(), compiled):
-        _PLANS.put((fingerprint, include_links, mode, pairs), kernel.fingerprint)
+        _PLANS.put((fingerprint, include_links, pairs), kernel.fingerprint)
         kernels[attachment] = kernel
     return kernels, "partial" if len(pending) < len(attachments) else "miss"
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
 from repro.casestudy import (
@@ -11,7 +13,24 @@ from repro.casestudy import (
     usi_network,
 )
 from repro.core import generate_upsim
+from repro.dependability import bdd
 from repro.network import DeviceSpec, StandardProfiles, Topology, TopologyBuilder
+
+
+@contextlib.contextmanager
+def always_sift():
+    """Every compile inside the block takes the sifting pass: the bloat
+    rule's thresholds drop to 0.  The kernel cache is cleared on entry
+    and exit, so no kernel crosses the boundary.  A context manager
+    rather than a fixture, so hypothesis tests can use it per example."""
+    saved = bdd._AUTO_MIN_NODES, bdd._AUTO_GROWTH
+    bdd.kernel_cache_clear()
+    bdd._AUTO_MIN_NODES = bdd._AUTO_GROWTH = 0
+    try:
+        yield
+    finally:
+        bdd._AUTO_MIN_NODES, bdd._AUTO_GROWTH = saved
+        bdd.kernel_cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -29,6 +29,7 @@ from repro.core.churn import (
     MoveUser,
 )
 from repro.core.engine import block_cache_clear, path_cache_clear
+from repro.dependability import bdd
 from repro.dependability.bdd import kernel_cache_clear
 from repro.errors import AnalysisError, PathDiscoveryError, TopologyError
 from repro.network.generators import (
@@ -39,6 +40,7 @@ from repro.network.generators import (
     ladder,
     ring,
 )
+from tests.conftest import always_sift
 
 TOLERANCE = 1e-12
 
@@ -129,9 +131,8 @@ class TestDeltaOracleEquivalence:
 
     @pytest.mark.reorder
     def test_sifted_nominal_kernel_every_epoch(self):
-        """``reorder="sift"`` sifts the nominal kernel once; every epoch
-        conditioned on it still matches the unsifted full-recompile
-        oracle."""
+        """A sifted nominal kernel: every epoch conditioned on it still
+        matches the unsifted full-recompile oracle."""
 
         def model():
             return campus(
@@ -139,14 +140,17 @@ class TestDeltaOracleEquivalence:
             ).object_model
 
         pairs = [("client", "server"), ("client2", "server")]
-        live = LiveEvaluator(model(), pairs, reorder="sift")
+        passes = bdd._M_REORDER_PASSES.value
+        with always_sift():
+            live = LiveEvaluator(model(), pairs)
+        assert bdd._M_REORDER_PASSES.value > passes
         oracle = LiveEvaluator(model(), pairs, policy=ChurnPolicy(delta=False))
         events = list(ChurnStream(model(), pairs, seed=5).events(60))
         for event in events:
-            live.run(iter([event]))
+            with always_sift():
+                live.run(iter([event]))
             oracle.run(iter([event]))
             _assert_equivalent(live, oracle)
-            assert live._base.nominal.kernel.fingerprint.endswith("|reorder=sift")
 
     def test_mobility_events_equivalent(self):
         delta, oracle = _evaluators("campus")

@@ -13,6 +13,7 @@ relation closes the battery: taking one more element down never raises
 a pair's availability.
 """
 
+import contextlib
 from itertools import combinations
 
 import pytest
@@ -31,6 +32,7 @@ from repro.core.churn import (
 from repro.network.generators import campus, complete, erdos_renyi, ladder, ring
 from repro.obs import metrics as _metrics
 from repro.obs.trace import Tracer, activate
+from tests.conftest import always_sift
 
 pytestmark = pytest.mark.churn
 
@@ -82,14 +84,22 @@ def _assert_same_epoch(live, oracle):
         assert a.path_sets[pair].paths == path_set.paths, pair
 
 
-def _run_in_lockstep(family, events, *, reorder="none"):
-    live = LiveEvaluator(_model(family), _pairs(family), reorder=reorder)
+def _run_in_lockstep(family, events, *, sift=False):
+    """Drive the delta evaluator (every compile sifted under *sift*) and
+    the unsifted oracle through *events*, comparing every epoch."""
+
+    def sifting():
+        return always_sift() if sift else contextlib.nullcontext()
+
+    with sifting():
+        live = LiveEvaluator(_model(family), _pairs(family))
     oracle = LiveEvaluator(
         _model(family), _pairs(family), policy=ChurnPolicy(delta=False)
     )
     _assert_same_epoch(live, oracle)
     for event in events:
-        live.run(iter([event]))
+        with sifting():
+            live.run(iter([event]))
         oracle.run(iter([event]))
         assert [q.event for q in live.quarantine] == [
             q.event for q in oracle.quarantine
@@ -123,10 +133,10 @@ def _streams(draw):
 
 
 @SETTINGS
-@given(stream=_streams(), reorder=st.sampled_from(["none", "sift"]))
-def test_every_epoch_matches_the_oracle(stream, reorder):
+@given(stream=_streams(), sift=st.booleans())
+def test_every_epoch_matches_the_oracle(stream, sift):
     family, events = stream
-    _run_in_lockstep(family, events, reorder=reorder)
+    _run_in_lockstep(family, events, sift=sift)
 
 
 def test_restore_after_rebase_rebases_again():

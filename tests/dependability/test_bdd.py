@@ -13,6 +13,8 @@ Three layers of guarantees, mirroring the path-discovery engine tests:
   every case-study pair.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,7 @@ from repro.network.generators import (
     ring,
 )
 from repro.network.topology import Topology
+from tests.conftest import always_sift
 
 fs = frozenset
 
@@ -161,7 +164,8 @@ class TestFamilyEquivalence:
         """Every evaluation route runs the same per-node arithmetic in the
         same operand order, so they agree exactly — not just to 1e-12."""
         # a second, smaller group keeps group roots distinct from the root
-        kernel = compile_structure([paths, paths[::2]], reorder=reorder)
+        with always_sift() if reorder == "sift" else contextlib.nullcontext():
+            kernel = compile_structure([paths, paths[::2]])
         base = kernel.probability_vector(table)
         matrix = np.random.default_rng(5).uniform(0.5, 1.0, (6, len(base)))
         matrix[0] = base

@@ -15,7 +15,6 @@ import repro.store as store_mod
 from repro.dependability.bdd import (
     compile_many,
     compile_structure,
-    configure_compile,
     kernel_cache_clear,
 )
 from repro.errors import AnalysisError
@@ -28,11 +27,9 @@ def fresh_compile_plane(monkeypatch):
     monkeypatch.delenv(store_mod.ENV_STORE, raising=False)
     store_mod.reset()
     kernel_cache_clear()
-    configure_compile(reorder="auto")
     yield
     store_mod.reset()
     kernel_cache_clear()
-    configure_compile(reorder="auto")
 
 
 def make_structures(count=6, seed=3):

@@ -38,6 +38,7 @@ from repro.analysis.exact import (
 )
 from repro.core.engine import discover
 from repro.dependability.bdd import compile_structure
+from tests.conftest import always_sift
 from repro.dependability.cutsets import minimal_cut_sets, path_components
 from repro.network.builder import TopologyBuilder
 from repro.network.components import DeviceSpec
@@ -205,7 +206,8 @@ def test_sifted_kernels_agree_with_all_kernels(structure, table):
     """A sifting pass must preserve the evaluated function exactly: the
     reordered BDD agrees with ie/enum to the same tolerance as the
     seed-order BDD."""
-    kernel = compile_structure(structure, use_cache=False, reorder="sift")
+    with always_sift():
+        kernel = compile_structure(structure, use_cache=False)
     reference = system_availability_reference(structure, table)
     assert kernel.availability(table) == pytest.approx(
         reference, abs=TOLERANCE
@@ -217,8 +219,9 @@ def test_sifted_kernels_agree_with_all_kernels(structure, table):
 @given(structure=structures)
 def test_sifted_minimal_sets_are_order_independent(structure):
     """Path/cut sets are properties of the function, not the order."""
-    plain = compile_structure(structure, use_cache=False, reorder="none")
-    sifted = compile_structure(structure, use_cache=False, reorder="sift")
+    plain = compile_structure(structure, use_cache=False)
+    with always_sift():
+        sifted = compile_structure(structure, use_cache=False)
     assert {frozenset(s) for s in sifted.minimal_path_sets()} == {
         frozenset(s) for s in plain.minimal_path_sets()
     }
@@ -232,7 +235,8 @@ def test_sifted_minimal_sets_are_order_independent(structure):
 @given(structure=structures, table=tables)
 def test_sifted_birnbaum_matches_finite_difference(structure, table):
     """The gradient pass stays exact after variable relabeling."""
-    kernel = compile_structure(structure, use_cache=False, reorder="sift")
+    with always_sift():
+        kernel = compile_structure(structure, use_cache=False)
     gradient = kernel.birnbaum(table)
     for component in kernel.variables:
         up = dict(table, **{component: 1.0})

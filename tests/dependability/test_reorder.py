@@ -1,11 +1,12 @@
-"""Sifting reorder and compile-plane configuration tests.
+"""Sifting reorder tests.
 
 Dynamic variable reordering must never change *what* a kernel computes —
-only how many nodes it takes.  Every test here pins either exact
-functional equivalence between ``reorder="sift"`` and ``reorder="none"``
-kernels, the adversarial-order families where sifting provably shrinks
-the diagram, or the cache/warm-start key discipline that keeps reordered
-kernels from colliding with seed-order ones.
+only how many nodes it takes.  A compile sifts only when its diagram is
+bloated (``bdd._AUTO_MIN_NODES``/``bdd._AUTO_GROWTH``); the tests force
+the pass with :func:`tests.conftest.always_sift` and pin exact functional
+equivalence with the unsifted kernels, the adversarial-order families
+where sifting provably shrinks the diagram, the rule itself, and the
+cache/warm-start keying by structure fingerprint.
 """
 
 from __future__ import annotations
@@ -18,27 +19,25 @@ import repro.store as store_mod
 from repro.analysis.exact import system_availability_reference
 from repro.dependability.bdd import (
     compile_structure,
-    configure_compile,
     frequency_order,
     kernel_cache_clear,
-    kernel_cache_info,
+    structure_fingerprint,
 )
 from repro.errors import AnalysisError
+from tests.conftest import always_sift
 
 TOLERANCE = 1e-12
 
 
 @pytest.fixture(autouse=True)
 def fresh_compile_plane(monkeypatch):
-    """Isolate: no ambient store, default compile config, empty LRU."""
+    """Isolate: no ambient store, empty LRU."""
     monkeypatch.delenv(store_mod.ENV_STORE, raising=False)
     store_mod.reset()
     kernel_cache_clear()
-    configure_compile(reorder="auto")
     yield
     store_mod.reset()
     kernel_cache_clear()
-    configure_compile(reorder="auto")
 
 
 def interleaved_structure(pairs: int):
@@ -68,8 +67,9 @@ class TestSiftEquivalence:
         rng = random.Random(42)
         for _ in range(20):
             structure = random_structure(rng)
-            plain = compile_structure(structure, use_cache=False, reorder="none")
-            sifted = compile_structure(structure, use_cache=False, reorder="sift")
+            plain = compile_structure(structure, use_cache=False)
+            with always_sift():
+                sifted = compile_structure(structure, use_cache=False)
             table = {v: rng.uniform(0.1, 0.99) for v in plain.variables}
             assert sifted.availability(table) == pytest.approx(
                 plain.availability(table), abs=TOLERANCE
@@ -85,7 +85,8 @@ class TestSiftEquivalence:
     def test_sifted_birnbaum_matches_reference(self):
         rng = random.Random(7)
         structure = random_structure(rng)
-        sifted = compile_structure(structure, use_cache=False, reorder="sift")
+        with always_sift():
+            sifted = compile_structure(structure, use_cache=False)
         table = {v: rng.uniform(0.2, 0.95) for v in sifted.variables}
         gradient = sifted.birnbaum(table)
         for component in sifted.variables:
@@ -98,12 +99,9 @@ class TestSiftEquivalence:
 
     def test_adversarial_order_shrinks_at_least_2x(self):
         groups, order = interleaved_structure(8)
-        plain = compile_structure(
-            groups, order=order, use_cache=False, reorder="none"
-        )
-        sifted = compile_structure(
-            groups, order=order, use_cache=False, reorder="sift"
-        )
+        plain = compile_structure(groups, order=order, use_cache=False)
+        with always_sift():
+            sifted = compile_structure(groups, order=order, use_cache=False)
         assert sifted.size * 2 <= plain.size
         table = {v: 0.9 for v in plain.variables}
         assert sifted.availability(table) == pytest.approx(
@@ -112,30 +110,22 @@ class TestSiftEquivalence:
 
     def test_auto_mode_leaves_small_structures_alone(self):
         groups, order = interleaved_structure(4)
-        auto = compile_structure(
-            groups, order=order, use_cache=False, reorder="auto"
+        kernel = compile_structure(groups, order=order, use_cache=False)
+        # far below the bloat rule: variables keep the given order
+        assert kernel.variables == tuple(order)
+
+    def test_rule_sifts_bloated_structures(self):
+        """11 interleaved pairs blow up past both thresholds (≥ 2,048
+        nodes, ≥ 8× the 22 incidences) under the adversarial order, so
+        the default compile sifts them without being asked."""
+        groups, order = interleaved_structure(11)
+        kernel = compile_structure(groups, order=order, use_cache=False)
+        assert kernel.variables != tuple(order)
+        assert kernel.size <= 2 * len(order)
+        table = {v: 0.9 for v in order}
+        assert kernel.availability(table) == pytest.approx(
+            system_availability_reference(groups, table), abs=TOLERANCE
         )
-        plain = compile_structure(
-            groups, order=order, use_cache=False, reorder="none"
-        )
-        # far below the auto trigger: variables keep the given order
-        assert auto.variables == plain.variables
-
-
-class TestCompileConfiguration:
-    def test_configure_compile_sets_defaults(self):
-        active = configure_compile(reorder="sift")
-        assert active["reorder"] == "sift"
-        assert configure_compile() == {"reorder": "sift"}  # read-back
-        configure_compile(reorder="auto")
-
-    def test_configure_compile_rejects_unknown_mode(self):
-        with pytest.raises(AnalysisError, match="unknown reorder mode"):
-            configure_compile(reorder="magic")
-
-    def test_compile_rejects_unknown_mode(self):
-        with pytest.raises(AnalysisError, match="unknown reorder mode"):
-            compile_structure([[frozenset({"a"})]], reorder="bogus")
 
 
 class TestOrderValidation:
@@ -161,22 +151,6 @@ class TestOrderValidation:
 
 
 class TestCacheKeying:
-    def test_sift_mode_does_not_collide_with_plain(self):
-        structure = [[frozenset({"a", "b"}), frozenset({"a", "c"})]]
-        plain = compile_structure(structure, reorder="none")
-        sifted = compile_structure(structure, reorder="sift")
-        assert sifted is not plain
-        assert sifted.fingerprint != plain.fingerprint
-        assert sifted.fingerprint.endswith("|reorder=sift")
-        # each mode hits its own entry
-        assert compile_structure(structure, reorder="none") is plain
-        assert compile_structure(structure, reorder="sift") is sifted
-
-    def test_none_and_auto_share_untagged_key(self):
-        structure = [[frozenset({"a", "b"}), frozenset({"a", "c"})]]
-        plain = compile_structure(structure, reorder="none")
-        assert compile_structure(structure, reorder="auto") is plain
-
     def test_order_changes_the_key(self):
         structure = [[frozenset({"a", "b"})]]
         one = compile_structure(structure, order=["a", "b"])
@@ -187,13 +161,19 @@ class TestCacheKeying:
 
 class TestStoreInteraction:
     def test_sifted_kernel_warm_starts_under_its_own_key(self, tmp_path):
+        """A sifted kernel is stored under its structure fingerprint and
+        warm-starts with its reordered variables."""
         store_mod.configure(tmp_path / "store")
         structure = [[frozenset({"a", "b"}), frozenset({"a", "c"})]]
-        sifted = compile_structure(structure, reorder="sift")
-        kernel_cache_clear()
-        warm = compile_structure(structure, reorder="sift")
+        with always_sift():
+            sifted = compile_structure(structure)
+            kernel_cache_clear()
+            warm = compile_structure(structure)
         assert warm is not sifted  # fresh object, loaded from disk
         assert warm.fingerprint == sifted.fingerprint
+        assert warm.fingerprint == structure_fingerprint(
+            structure, frequency_order(structure)
+        )
         assert warm.variables == sifted.variables
         table = {"a": 0.9, "b": 0.8, "c": 0.7}
         assert warm.availability(table) == pytest.approx(
@@ -215,11 +195,3 @@ class TestStoreInteraction:
         assert second.availability(table) == pytest.approx(
             first.availability(table), abs=TOLERANCE
         )
-
-    def test_plain_store_entry_not_served_for_sift(self, tmp_path):
-        store_mod.configure(tmp_path / "store")
-        structure = [[frozenset({"a", "b"}), frozenset({"a", "c"})]]
-        compile_structure(structure, reorder="none")
-        kernel_cache_clear()
-        sifted = compile_structure(structure, reorder="sift")
-        assert sifted.fingerprint.endswith("|reorder=sift")

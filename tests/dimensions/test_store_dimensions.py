@@ -32,7 +32,8 @@ GROUPS = [[fs({"a", "x"}), fs({"b", "x"})], [fs({"x", "s"})]]
 TABLE = {"a": 0.9, "b": 0.8, "x": 0.99, "s": 0.95}
 
 if "--sift" in sys.argv:
-    bdd.configure_compile(reorder="sift")
+    # force the sifting pass, as tests.conftest.always_sift does
+    bdd._AUTO_MIN_NODES = bdd._AUTO_GROWTH = 0
 names = ["availability", "performability"]
 if "--custom" in sys.argv:
     register_dimension(
@@ -113,14 +114,15 @@ def test_custom_dimension_set_reuses_the_kernel_artifact(tmp_path):
 
 def test_sifted_kernel_fingerprint_is_stable_across_processes(tmp_path):
     """A warm process reports the fingerprint the cold one compiled
-    under, ``|reorder=sift`` tag included."""
+    under: the structure fingerprint, the same as an unsifted kernel's."""
     store = tmp_path / "store"
 
     cold = _run(store, "--sift")
     warm = _run(store, "--sift")
     assert cold["compilations"] == 1
     assert warm["compilations"] == 0
-    assert cold["kernel_fingerprint"].endswith("|reorder=sift")
+    plain = _run(tmp_path / "plain")
+    assert cold["kernel_fingerprint"] == plain["kernel_fingerprint"]
     assert warm["kernel_fingerprint"] == cold["kernel_fingerprint"]
     assert warm["availability"] == cold["availability"]
     assert warm["performability"] == cold["performability"]

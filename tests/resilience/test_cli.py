@@ -115,3 +115,11 @@ class TestCampaignCommand:
     def test_bad_fault_spec(self, capsys):
         assert main(["campaign", "--faults", "crash:"]) == 13
         assert "error:" in capsys.readouterr().err
+
+    def test_negative_limit_exits_13(self, capsys):
+        """``--limit -1`` would slice off the last combination; it is
+        rejected like a bad ``--k``/``--ticks``."""
+        assert main(["campaign", "--faults", "crash:e3", "--limit", "-1"]) == 13
+        captured = capsys.readouterr()
+        assert "limit >= 0, got -1" in captured.err
+        assert "more combination(s)" not in captured.out

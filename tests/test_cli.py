@@ -152,6 +152,21 @@ class TestFileCommands:
         assert "availability report" in out
         assert "Monte-Carlo" in out
 
+    @pytest.mark.parametrize("command", ["casestudy", "analyze"])
+    def test_negative_monte_carlo_samples_exit_12(
+        self, model_files, command, capsys
+    ):
+        """A negative ``--mc`` is an error, not a report without the
+        Monte-Carlo line."""
+        models, mapping = model_files
+        argv = [command, "--mc", "-5"]
+        if command == "analyze":
+            argv += ["--models", models, "--service", "fetch", "--mapping", mapping]
+        assert main(argv) == 12
+        captured = capsys.readouterr()
+        assert "Monte-Carlo samples must be >= 0, got -5" in captured.err
+        assert "availability report" not in captured.out
+
     def test_analyze_no_links(self, model_files, capsys):
         models, mapping = model_files
         assert main(

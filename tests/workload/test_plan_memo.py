@@ -3,7 +3,7 @@
 A warm ``evaluate_population`` fetches every kernel by the cache key its
 plan remembered, so it discovers, groups, orders and fingerprints
 nothing.  Each input a kernel depends on — the topology revision, the
-mapping's pairs, ``include_links``, the reorder mode — keys the plan, and
+mapping's pairs, ``include_links`` — keys the plan, and
 a kernel the LRU lost re-plans; every case must still equal the naive
 oracle to 1e-12 and an unmemoized run bit for bit.
 """
@@ -15,7 +15,7 @@ import pytest
 
 from repro.core import ServiceMapping, ServiceMappingPair
 from repro.dependability import bdd
-from repro.dependability.bdd import configure_compile, kernel_cache_clear
+from repro.dependability.bdd import kernel_cache_clear
 from repro.network import Topology
 from repro.network.generators import campus
 from repro.obs.trace import Tracer, activate
@@ -94,13 +94,6 @@ def planning_calls(monkeypatch):
     return calls
 
 
-@pytest.fixture()
-def reorder_mode():
-    previous = configure_compile()["reorder"]
-    yield
-    configure_compile(reorder=previous)
-
-
 def plan_of(run):
     """*run*'s result and the ``plan`` attribute of its compile span; a
     ``"hit"`` traces no discovery and no compile."""
@@ -175,20 +168,14 @@ def _flip_links(topology, kwargs):
     return access_mapping, {**kwargs, "include_links": False}
 
 
-def _sift(topology, kwargs):
-    configure_compile(reorder="sift")
-    return access_mapping, kwargs
-
-
 def _clear_kernels(topology, kwargs):
     kernel_cache_clear()
     return access_mapping, kwargs
 
 
-REPLANS = [_edit_topology, _change_pairs, _flip_links, _sift, _clear_kernels]
+REPLANS = [_edit_topology, _change_pairs, _flip_links, _clear_kernels]
 
 
-@pytest.mark.usefixtures("reorder_mode")
 @pytest.mark.parametrize(
     "change", REPLANS, ids=[c.__name__.lstrip("_") for c in REPLANS]
 )

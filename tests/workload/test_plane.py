@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.casestudy import CLIENTS, printing_mapping
 from repro.core import ServiceMapping, ServiceMappingPair
-from repro.dependability.bdd import configure_compile
 from repro.errors import AnalysisError
 from repro.network import Topology
 from repro.network.generators import campus, erdos_renyi, ladder, ring
@@ -21,6 +22,7 @@ from repro.workload import (
     evaluate_population_naive,
 )
 from repro.workload.plane import _sorted_percentile
+from tests.conftest import always_sift
 
 CLASSES = (
     UserClass("std", weight=4, device_availability=0.98, jitter=0.05),
@@ -239,16 +241,14 @@ class TestShannonExpansion:
         plane=planes,
         classes=user_classes,
         include_links=st.booleans(),
-        reorder=st.sampled_from(["none", "sift"]),
+        sift=st.booleans(),
     )
-    def test_matches_naive_oracle(self, plane, classes, include_links, reorder):
+    def test_matches_naive_oracle(self, plane, classes, include_links, sift):
         topology, service, mapping_for, attachments = shannon_plane(*plane)
         population = Population.generate(
             300, classes, attachments, seed=plane[2]
         )
-        previous = configure_compile()["reorder"]
-        configure_compile(reorder=reorder)
-        try:
+        with always_sift() if sift else contextlib.nullcontext():
             report = evaluate_population(
                 topology, service, mapping_for, population,
                 include_links=include_links,
@@ -257,8 +257,6 @@ class TestShannonExpansion:
                 topology, service, mapping_for, population,
                 include_links=include_links,
             )
-        finally:
-            configure_compile(reorder=previous)
         assert float(np.max(np.abs(report.availability - naive))) <= 1e-12
         present = {population.attachments[i] for i in population.attachment_index}
         assert report.keys == len(present)
