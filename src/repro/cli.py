@@ -748,9 +748,12 @@ def cmd_store(args: argparse.Namespace) -> int:
             "no store directory: pass --store DIR or set "
             f"{_artifact_store.ENV_STORE}"
         )
-    # inspecting a mistyped path must not create an empty store there
+    # inspecting a mistyped path must not create an empty store there;
+    # every store made ``objects/`` when it was opened
     if not _os.path.isdir(root):
         raise StoreError(f"no store directory at {root!r}")
+    if not _os.path.isdir(_os.path.join(root, "objects")):
+        raise StoreError(f"{root!r} is not an artifact store (no objects/)")
     store = _artifact_store._store_for(root)
     if args.action == "ls":
         rows = sorted(store.objects(), key=lambda o: o.mtime, reverse=True)

@@ -584,7 +584,9 @@ class BDD:
             rest = np.flatnonzero(~direct)
             if rest.size:
                 levs = levels[rest]
-                for lv in np.unique(levs).tolist():
+                # ``return_index`` only to skip numpy's masked-array
+                # check, which imports ``numpy.ma`` on first use
+                for lv in np.unique(levs, return_index=True)[0].tolist():
                     rows = rest[levs == lv]
                     vals[rows] = lvl_res[lv][lvl_inv[lv][idxs[rows]]]
             return vals

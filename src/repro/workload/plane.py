@@ -28,9 +28,13 @@ million users" into a few numpy passes:
    The per-user work is one group index, two gathers, one multiply and
    one add.
 
-Class summaries sort each class's values once and read the minimum and
-the tail percentiles off the sorted copy with numpy's ``linear`` rule,
-so they equal ``np.percentile`` exactly.
+Class summaries gather each class's values once, take the mean of that
+copy, and select the p50, p90 and p99 order statistics in it with nested
+single-kth partitions (a small or heavily tied class sorts instead); the
+percentiles follow numpy's ``linear`` rule, so they equal
+``np.percentile`` exactly.  The worst-served drilldown lists the ``top``
+smallest values overall, found by one threshold pass over the users;
+users tied at the threshold are listed by lowest user index.
 
 ``evaluate_population_naive`` is the honest scalar oracle: a Python loop
 over users, one availability table and one
@@ -297,21 +301,78 @@ def _kernels_for_attachments(
     return kernels, "partial" if len(pending) < len(attachments) else "miss"
 
 
-def _sorted_percentile(values: np.ndarray, q: float) -> float:
-    """``np.percentile(values, 100 · q)`` of an ascending-sorted array.
+#: classes up to this many users sort their values; larger ones select
+_SORT_CUTOFF = 4096
 
-    numpy's default ``linear`` rule, term for term: the virtual index
-    ``q · (n − 1)`` and the two-sided lerp that interpolates from the
-    upper neighbour once the weight reaches 0.5.
-    """
-    n = len(values)
-    virtual = (n - 1) * q
-    lo = math.floor(virtual)
-    a = float(values[lo])
-    b = float(values[min(lo + 1, n - 1)])
-    t = virtual - lo
+#: values of a strided sample that :func:`_order_statistics` checks for
+#: repeats before it selects
+_TIE_PROBE = 64
+
+#: the summary's tail percentiles p50, p90 and p99 as quantiles
+_TAILS = (0.5, 0.1, 0.01)
+
+
+def _lerp(a: float, b: float, virtual: float) -> float:
+    """numpy's ``linear`` percentile between the order statistics at
+    ``floor(virtual)`` (*a*) and the next one (*b*), term for term: the
+    two-sided lerp interpolates from *b* once the weight reaches 0.5."""
+    t = virtual - math.floor(virtual)
     diff = b - a
     return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
+def _repeats(sample: np.ndarray) -> bool:
+    """Whether *sample* holds some value twice."""
+    ordered = np.sort(sample)
+    return bool((ordered[1:] == ordered[:-1]).any())
+
+
+def _order_statistics(
+    values: np.ndarray, top: int
+) -> Tuple[float, Tuple[float, ...], np.ndarray]:
+    """The minimum, ``np.percentile(values, (50, 10, 1))`` and the
+    ``min(top, n)`` smallest values ascending, of a non-empty array that
+    this reorders in place.
+
+    A small class, or one whose strided sample repeats a value, sorts:
+    numpy's selection slows down many-fold when the wanted rank lies in
+    a large run of equal values, its sort does not.  A larger class
+    selects with nested single-kth partitions: at the p50 index, then
+    at the p90 index inside the part left of it, then at the p99 index
+    inside what is left of that.  Each partition leaves the order
+    statistic at its index, so the next one above is the minimum of the
+    slice up to the previous pivot, and the last prefix holds the
+    smallest values.
+    """
+    n = len(values)
+    ranks = [(n - 1) * q for q in _TAILS]
+    if n <= _SORT_CUTOFF or _repeats(values[:: n // _TIE_PROBE]):
+        values.sort()
+        pairs = [
+            (values[lo], values[min(lo + 1, n - 1)])
+            for lo in map(math.floor, ranks)
+        ]
+        head = values
+    else:
+        # n > _SORT_CUTOFF keeps lo + 1 < hi at every step
+        pairs = []
+        hi = n
+        for lo in map(math.floor, ranks):
+            part = values[:hi]
+            part.partition(lo)
+            pairs.append((part[lo], part[lo + 1 :].min()))
+            hi = lo
+        # at least one value, for the minimum
+        want = max(top, 1)
+        head = values[: hi + 1] if want <= hi + 1 else values
+        if want < len(head):
+            head.partition(want - 1)
+        head = np.sort(head[:want])
+    percentiles = tuple(
+        _lerp(float(a), float(b), virtual)
+        for (a, b), virtual in zip(pairs, ranks)
+    )
+    return float(head[0]), percentiles, head[:top]
 
 
 def _summarize(
@@ -320,29 +381,48 @@ def _summarize(
     report: PopulationReport,
     top: int,
 ) -> None:
-    """Fill per-class percentiles and the worst-served drilldown."""
+    """Fill per-class percentiles and the worst-served drilldown.
+
+    The worst ``top`` users are the ``top`` smallest values overall, so
+    each is among its class's ``top`` smallest: the ``top``-th smallest
+    of those is a threshold that one comparison pass turns into the
+    candidates.  Users tied at it are listed by lowest user index.
+    """
+    smallest = []
     for ci, user_class in enumerate(population.classes):
         values = np.compress(population.class_index == ci, availability)
         if not len(values):
             continue
         mean = float(values.mean())
-        values.sort()
+        minimum, (p50, p90, p99), head = _order_statistics(values, top)
+        smallest.append(head)
         report.class_summaries.append(
             ClassSummary(
                 name=user_class.name,
                 users=len(values),
                 mean=mean,
-                minimum=float(values[0]),
-                p50=_sorted_percentile(values, 0.5),
-                p90=_sorted_percentile(values, 0.1),
-                p99=_sorted_percentile(values, 0.01),
+                minimum=minimum,
+                p50=p50,
+                p90=p90,
+                p99=p99,
             )
         )
     if top > 0 and len(availability):
-        worst_count = min(top, len(availability))
-        worst_ix = np.argpartition(availability, worst_count - 1)[:worst_count]
-        worst_ix = worst_ix[np.argsort(availability[worst_ix])]
-        for user in worst_ix:
+        count = min(top, len(availability))
+        threshold = np.sort(np.concatenate(smallest))[count - 1]
+        candidates = np.flatnonzero(availability <= threshold)
+        if len(candidates) > count:
+            # more users tie at the threshold than fit: all users below
+            # it, then the tied ones among the first ``count`` candidates
+            first = candidates[:count]
+            candidates = np.concatenate(
+                (
+                    np.flatnonzero(availability < threshold),
+                    first[availability[first] == threshold],
+                )
+            )
+        order = np.argsort(availability[candidates], kind="stable")
+        for user in candidates[order[:count]]:
             report.worst.append(
                 WorstUser(
                     user=int(user),

@@ -342,6 +342,19 @@ class TestStoreCommand:
         assert "no store directory" in captured.err
         assert not (tmp_path / "typo").exists()
 
+    @pytest.mark.parametrize("action", ["ls", "verify", "gc"])
+    def test_directory_that_is_not_a_store_is_left_alone(
+        self, tmp_path, capsys, action
+    ):
+        not_a_store = tmp_path / "docs"
+        not_a_store.mkdir()
+        code = main(["store", action, "--store", str(not_a_store)])
+        captured = capsys.readouterr()
+        assert code == 14  # StoreError
+        assert captured.out == ""
+        assert "not an artifact store" in captured.err
+        assert list(not_a_store.iterdir()) == []
+
     def test_store_without_directory_maps_to_exit_14(self, capsys):
         code = main(["store", "ls"])
         assert code == 14  # StoreError

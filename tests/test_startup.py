@@ -7,7 +7,8 @@ the functions that use them.  The commands that need neither must not
 load them.  The package ``__init__``s export their names lazily
 (:mod:`repro._lazy`), so ``upsim casestudy`` also loads none of the
 churn, what-if, SLA, placement, resilience and workload modules, and
-neither ``numpy.ma`` nor ``numpy.random``.  Each case runs in a fresh
+neither ``numpy.ma`` nor ``numpy.random``; ``population``, ``churn`` and
+``campaign`` do not load ``numpy.ma`` either.  Each case runs in a fresh
 interpreter, because this test process has all of them loaded already.
 No timing is pinned: the ``sys.modules`` check is the deterministic part
 of the gain.
@@ -102,7 +103,11 @@ def _loaded_after_main(argv, cwd, modules=HEAVY):
     ids=["casestudy", "casestudy_t7_p3", "population", "churn", "campaign"],
 )
 def test_default_commands_load_neither_package(argv, tmp_path):
-    modules = HEAVY + CASESTUDY_UNUSED if argv[0] == "casestudy" else HEAVY
+    modules = (
+        HEAVY + CASESTUDY_UNUSED
+        if argv[0] == "casestudy"
+        else HEAVY + ("numpy.ma",)
+    )
     result = _loaded_after_main(argv, tmp_path, modules)
     assert result == {"code": 0, "loaded": []}
 

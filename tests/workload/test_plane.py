@@ -21,7 +21,7 @@ from repro.workload import (
     evaluate_population,
     evaluate_population_naive,
 )
-from repro.workload.plane import _sorted_percentile
+from repro.workload.plane import _SORT_CUTOFF, _order_statistics
 from tests.conftest import always_sift
 
 CLASSES = (
@@ -102,6 +102,48 @@ class TestReport:
         text = report.to_text()
         assert "2000 users" in text
         assert "worst-served users:" in text
+
+    def test_tied_worst_users_are_the_lowest_indices(self):
+        """Users tied at the drilldown's threshold are listed by lowest
+        user index, whatever order a selection would leave them in."""
+        topology, service, mapping_for, clients = generated_plane("campus")
+        population = Population(
+            (UserClass("flat", device_availability=0.9),),
+            clients,
+            np.zeros(5000, dtype=np.int32),
+            np.zeros(5000, dtype=np.int32),
+            np.random.default_rng(0).random(5000),
+        )
+        report = evaluate_population(topology, service, mapping_for, population)
+        assert [entry.user for entry in report.worst] == [0, 1, 2, 3, 4]
+        assert len(set(report.availability.tolist())) == 1
+
+    def test_worst_users_break_ties_below_the_threshold(self):
+        topology, service, mapping_for, clients = generated_plane("campus")
+        # class "low" ties at one value below every "flat" user; "flat"
+        # users tie at the threshold and follow in index order
+        classes = (
+            UserClass("flat", device_availability=0.9),
+            UserClass("low", device_availability=0.5),
+        )
+        class_index = np.zeros(9000, dtype=np.int32)
+        class_index[[8000, 2, 6000]] = 1
+        population = Population(
+            classes,
+            clients,
+            class_index,
+            np.zeros(9000, dtype=np.int32),
+            np.zeros(9000),
+        )
+        report = evaluate_population(
+            topology, service, mapping_for, population, top=6
+        )
+        assert [entry.user for entry in report.worst] == [
+            2, 6000, 8000, 0, 1, 3,
+        ]
+        assert [entry.user_class for entry in report.worst] == (
+            ["low"] * 3 + ["flat"] * 3
+        )
 
     def test_jitter_free_classes_dedup_to_one_row_per_key(
         self, usi_topo, printing
@@ -315,12 +357,23 @@ class TestShannonExpansion:
 @pytest.mark.population
 class TestClassSummaries:
     """Each class summary equals, with ``==``, the numpy statistics of
-    that class's per-user values: the plane reads its percentiles off one
-    sorted copy instead of calling ``np.percentile``."""
+    that class's per-user values: the plane selects its order statistics
+    (or sorts a small class) instead of calling ``np.percentile``."""
 
     @pytest.mark.parametrize(
         "sizes",
-        [(1,), (2,), (1, 2), (3, 4), (7, 10, 0, 1), (101, 64, 2)],
+        [
+            (1,),
+            (2,),
+            (1, 2),
+            (3, 4),
+            (7, 10, 0, 1),
+            (101, 64, 2),
+            (6000, 4097, 0, 3),
+            (9000, 1, 4500, 5000),
+            # "flat" users all perceive one value on this campus
+            (0, 0, 7000),
+        ],
         ids=lambda sizes: "-".join(map(str, sizes)),
     )
     def test_summaries_equal_numpy_statistics(self, sizes):
@@ -358,21 +411,48 @@ class TestClassSummaries:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        values=st.lists(
+        palette=st.lists(
             st.one_of(
                 st.floats(min_value=0.0, max_value=1.0),
                 st.sampled_from([0.25, 0.5, 0.999]),
             ),
             min_size=1,
-            max_size=120,
-        )
+            max_size=40,
+        ),
+        share=st.sampled_from([0.0, 0.001, 0.5, 1.0]),
+        size=st.one_of(
+            st.integers(min_value=1, max_value=120),
+            st.integers(min_value=_SORT_CUTOFF - 2, max_value=3 * _SORT_CUTOFF),
+        ),
+        top=st.one_of(st.integers(min_value=0, max_value=8), st.none()),
+        seed=st.integers(min_value=0, max_value=2**16),
     )
-    def test_sorted_percentile_is_numpys_linear_rule(self, values):
-        ordered = np.sort(np.array(values))
-        for q in (0.5, 0.1, 0.01):
-            assert _sorted_percentile(ordered, q) == np.percentile(
-                ordered, 100 * q
-            )
+    def test_order_statistics_are_numpys_linear_rule(
+        self, palette, share, size, top, seed
+    ):
+        """Unsorted values, a *share* of them drawn from a few repeated
+        ones, on both sides of the sort cutoff; ``top=None`` asks for
+        more values than the class has."""
+        rng = np.random.default_rng(seed)
+        repeated = np.array(palette)[rng.integers(len(palette), size=size)]
+        values = np.where(rng.random(size) < share, repeated, rng.random(size))
+        top = size + 3 if top is None else top
+        minimum, percentiles, smallest = _order_statistics(values.copy(), top)
+        assert minimum == values.min()
+        assert percentiles == tuple(np.percentile(values, (50, 10, 1)))
+        assert np.array_equal(smallest, np.sort(values)[:top])
+
+    def test_selection_over_consecutive_sizes(self):
+        """Every size in a run past the cutoff: a partition leaves the
+        next order statistic beside its pivot most of the time, so only
+        many sizes show a neighbour read off the wrong slot."""
+        rng = np.random.default_rng(7)
+        for size in range(_SORT_CUTOFF + 1, _SORT_CUTOFF + 400):
+            values = rng.random(size)
+            minimum, percentiles, smallest = _order_statistics(values.copy(), 5)
+            assert minimum == values.min()
+            assert percentiles == tuple(np.percentile(values, (50, 10, 1)))
+            assert np.array_equal(smallest, np.sort(values)[:5])
 
 
 @pytest.mark.population
