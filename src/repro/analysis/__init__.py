@@ -1,8 +1,8 @@
 """UPSIM → dependability-model bridge and reporting (Section VII, ref [20]).
 
 Transforms a generated UPSIM into reliability block diagrams and fault
-trees, computes exact user-perceived availability (compiled BDD kernel,
-inclusion–exclusion, state enumeration), and renders per-pair reports.
+trees, computes exact user-perceived availability (compiled BDD kernel; state
+enumeration kept as the reference), and renders per-pair reports.
 """
 
 from repro._lazy import lazy_exports
@@ -23,8 +23,6 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "pair_availability": "exact",
     "pair_availability_reference": "exact",
     "system_path_sets": "exact",
-    "KERNELS": "exact",
-    "DEFAULT_KERNEL": "exact",
     "MAX_COMPONENTS": "exact",
     "component_availabilities": "transformations",
     "service_availability_kernel": "transformations",

@@ -16,11 +16,12 @@ value by enumerating all component states, vectorized with numpy:
 
 With n components this costs O(2^n) memory/time; :data:`MAX_COMPONENTS`
 caps n at 22 (≈ 34 MB of float64), which comfortably covers case-study
-UPSIMs.  The enumeration is kept as the ``*_reference`` oracle; passing
-``kernel="bdd"`` routes the same queries through the compiled
-:mod:`repro.dependability.bdd` kernel — one O(|BDD|) pass per probability
-vector, no component bound, structure memoized across calls — and
-``kernel="ie"`` through inclusion–exclusion over the system path sets.
+UPSIMs.  The enumeration is kept as the ``*_reference`` oracle the
+product route is tested against: :func:`system_availability` answers
+through the compiled :mod:`repro.dependability.bdd` kernel — one O(|BDD|)
+pass per probability vector, no component bound, structure memoized
+across calls.  :func:`system_path_sets` is the input of the
+inclusion–exclusion oracle.
 """
 
 from __future__ import annotations
@@ -39,30 +40,13 @@ __all__ = [
     "pair_availability_reference",
     "system_path_sets",
     "MAX_COMPONENTS",
-    "KERNELS",
-    "DEFAULT_KERNEL",
 ]
-
-#: Recognized evaluation kernels: compiled BDD, inclusion–exclusion over
-#: system path sets, and the seed's state enumeration.
-KERNELS = ("bdd", "ie", "enum")
-
-#: The default evaluation kernel **everywhere** — ``system_availability``,
-#: ``analyze_upsim``, what-if impact, campaigns, the pipeline.  The
-#: compiled BDD is exact, has no component bound, and memoizes by
-#: structure; the enumeration stays available as the explicit
-#: ``kernel="enum"`` oracle.  (Historically ``exact.py`` defaulted to
-#: enum while the analysis layer defaulted to bdd; a single constant
-#: keeps every entry point agreeing.)
-DEFAULT_KERNEL = "bdd"
 
 #: Exact enumeration bound (2^22 states ≈ 34 MB of probabilities).
 MAX_COMPONENTS = 22
 
 _M_EVALUATIONS = _metrics.counter(
-    "repro_analysis_evaluations_total",
-    "system_availability evaluations by kernel",
-    labelnames=("kernel",),
+    "repro_analysis_evaluations_total", "system_availability evaluations"
 )
 
 
@@ -84,8 +68,6 @@ def _state_probabilities(availabilities: Sequence[float]) -> np.ndarray:
 def system_availability(
     path_set_groups: Sequence[Sequence[FrozenSet[str]]],
     availabilities: Dict[str, float],
-    *,
-    kernel: str = DEFAULT_KERNEL,
 ) -> float:
     """Exact P(every group has at least one fully-available path set).
 
@@ -94,33 +76,15 @@ def system_availability(
     each physical component is one random variable, regardless of how many
     paths and pairs it appears in.
 
-    *kernel* selects the evaluation route (default
-    :data:`DEFAULT_KERNEL`): ``"enum"`` is the
-    seed's vectorized state enumeration, bounded by :data:`MAX_COMPONENTS`;
-    ``"bdd"`` compiles the structure into a memoized
+    The structure compiles into a memoized
     :class:`repro.dependability.bdd.AvailabilityKernel` (no component
-    bound, and repeat evaluations of the same structure only re-run the
-    O(|BDD|) probability pass); ``"ie"`` runs inclusion–exclusion over the
-    minimized system path sets (bounded by
-    :data:`repro.dependability.cutsets.MAX_INCLUSION_EXCLUSION_SETS`).
-    All three agree to within floating-point noise.
+    bound; repeat evaluations of the same structure only re-run the
+    O(|BDD|) probability pass).
     """
-    if kernel not in KERNELS:
-        raise AnalysisError(
-            f"unknown availability kernel {kernel!r}; expected one of {KERNELS}"
-        )
-    _M_EVALUATIONS.labels(kernel=kernel).inc()
-    if kernel == "bdd":
-        from repro.dependability.bdd import system_availability_bdd
+    from repro.dependability.bdd import system_availability_bdd
 
-        return system_availability_bdd(path_set_groups, availabilities)
-    if kernel == "ie":
-        from repro.dependability.cutsets import inclusion_exclusion
-
-        return inclusion_exclusion(
-            system_path_sets(path_set_groups), availabilities
-        )
-    return system_availability_reference(path_set_groups, availabilities)
+    _M_EVALUATIONS.inc()
+    return system_availability_bdd(path_set_groups, availabilities)
 
 
 def system_path_sets(
@@ -211,11 +175,9 @@ def system_availability_reference(
 def pair_availability(
     path_sets: Sequence[FrozenSet[str]],
     availabilities: Dict[str, float],
-    *,
-    kernel: str = DEFAULT_KERNEL,
 ) -> float:
     """Exact availability of a single requester/provider pair."""
-    return system_availability([list(path_sets)], availabilities, kernel=kernel)
+    return system_availability([list(path_sets)], availabilities)
 
 
 def pair_availability_reference(

@@ -12,35 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.analysis.exact import (
-    DEFAULT_KERNEL,
-    KERNELS,
-    pair_availability,
-    system_availability,
-)
 from repro.analysis.transformations import (
     component_availabilities,
-    pair_path_sets,
-    pair_rbd,
     service_availability_kernel,
     service_path_set_groups,
-    service_rbd,
 )
 from repro.core.upsim import UPSIM
 from repro.dependability.availability import downtime_minutes_per_year
-from repro.dependability.cutsets import (
-    esary_proschan_bounds,
-    minimal_cut_sets,
-    minimize_sets,
-)
-from repro.dependability.importance import (
-    ImportanceRow,
-    importance_from_birnbaum,
-    importance_table,
-)
+from repro.dependability.cutsets import esary_proschan_bounds
+from repro.dependability.importance import ImportanceRow, importance_from_birnbaum
 from repro.errors import AnalysisError
 from repro.obs import trace as _trace
-from repro.uml.objects import ObjectModel
 
 if TYPE_CHECKING:  # Monte-Carlo runs only with montecarlo_samples > 0
     from repro.dependability.montecarlo import MCEstimate
@@ -199,10 +181,15 @@ def analyze_upsim(
     montecarlo_samples: int = 0,
     importance_components: int = 10,
     seed: int = 0,
-    kernel: str = DEFAULT_KERNEL,
     dimensions: Optional[Sequence[str]] = None,
 ) -> AvailabilityReport:
     """Analyze a UPSIM end to end.
+
+    Every quantity of the report — all pair availabilities, the service
+    availability, per-pair minimal cut sets and the full importance
+    gradient — comes from one compiled BDD of the service structure,
+    evaluated in a handful of O(|BDD|) passes; it is exact at any
+    component count.
 
     Parameters
     ----------
@@ -221,28 +208,12 @@ def analyze_upsim(
         :func:`repro.dimensions.evaluate_dimensions`); the result lands
         in :attr:`AvailabilityReport.dimensions` and its ``to_text()``
         section.
-    kernel:
-        Evaluation route (see :data:`repro.analysis.exact.KERNELS`).  The
-        default ``"bdd"`` compiles the service structure once and answers
-        every query — pair and service availabilities, minimal cut sets,
-        the full importance gradient — from the same DAG; it is exact at
-        any component count.  ``"enum"``/``"ie"`` use the reference
-        evaluators, and their bound errors propagate: enumeration raises
-        :class:`AnalysisError` beyond
-        :data:`~repro.analysis.exact.MAX_COMPONENTS` components rather
-        than returning an estimate.
     """
-    if kernel not in KERNELS:
-        raise AnalysisError(
-            f"unknown availability kernel {kernel!r}; expected one of {KERNELS}"
-        )
     if montecarlo_samples < 0:
         raise AnalysisError(
             f"Monte-Carlo samples must be >= 0, got {montecarlo_samples}"
         )
-    with _trace.span(
-        "analysis.analyze_upsim", service=upsim.service_name, kernel=kernel
-    ):
+    with _trace.span("analysis.analyze_upsim", service=upsim.service_name):
         report = _analyze_upsim_traced(
             upsim,
             formula=formula,
@@ -250,7 +221,6 @@ def analyze_upsim(
             montecarlo_samples=montecarlo_samples,
             importance_components=importance_components,
             seed=seed,
-            kernel=kernel,
         )
         if dimensions:
             from repro.dimensions import evaluate_dimensions
@@ -272,92 +242,10 @@ def _analyze_upsim_traced(
     montecarlo_samples: int,
     importance_components: int,
     seed: int,
-    kernel: str,
 ) -> AvailabilityReport:
     availabilities = component_availabilities(
         upsim.model, formula=formula, include_links=include_links
     )
-    groups = service_path_set_groups(upsim, include_links=include_links)
-
-    if kernel == "bdd":
-        return _analyze_upsim_bdd(
-            upsim,
-            availabilities,
-            groups,
-            include_links=include_links,
-            montecarlo_samples=montecarlo_samples,
-            importance_components=importance_components,
-            seed=seed,
-        )
-
-    pair_reports: List[PairReport] = []
-    for atomic_service, path_set in upsim.path_sets.items():
-        sets = minimize_sets(pair_path_sets(path_set, include_links=include_links))
-        exact = pair_availability(sets, availabilities, kernel=kernel)
-        cuts = minimal_cut_sets(sets)
-        lower, upper = esary_proschan_bounds(sets, cuts, availabilities)
-        pair_reports.append(
-            PairReport(
-                atomic_service=atomic_service,
-                requester=path_set.requester,
-                provider=path_set.provider,
-                path_count=path_set.count,
-                availability=exact,
-                lower_bound=lower,
-                upper_bound=upper,
-                downtime_minutes_per_year=downtime_minutes_per_year(exact),
-                min_cut_sets=tuple(cuts),
-            )
-        )
-
-    service_availability = system_availability(
-        groups, availabilities, kernel=kernel
-    )
-
-    montecarlo: Optional[MCEstimate] = None
-    if montecarlo_samples > 0:
-        montecarlo = _sample_service_availability(
-            groups, availabilities, samples=montecarlo_samples, seed=seed
-        )
-
-    importance: List[ImportanceRow] = []
-    if importance_components > 0:
-        node_names = [name for name in upsim.component_names]
-
-        def evaluator(table: Dict[str, float]) -> float:
-            return system_availability(groups, table, kernel=kernel)
-
-        importance = importance_table(evaluator, availabilities, node_names)[
-            :importance_components
-        ]
-
-    return AvailabilityReport(
-        service_name=upsim.service_name,
-        pairs=pair_reports,
-        service_availability=service_availability,
-        service_downtime_minutes_per_year=downtime_minutes_per_year(
-            service_availability
-        ),
-        importance=importance,
-        montecarlo=montecarlo,
-    )
-
-
-def _analyze_upsim_bdd(
-    upsim: UPSIM,
-    availabilities: Dict[str, float],
-    groups: Sequence[Sequence[FrozenSet[str]]],
-    *,
-    include_links: bool,
-    montecarlo_samples: int,
-    importance_components: int,
-    seed: int,
-) -> AvailabilityReport:
-    """The compiled-kernel analysis route: every quantity of the report —
-    all pair availabilities, the service availability, per-pair minimal
-    cut sets and the full importance gradient — comes from one compiled
-    BDD, evaluated in a handful of O(|BDD|) passes (the enumeration route
-    re-enumerates 2^n states for each of those queries)."""
     kernel = service_availability_kernel(upsim, include_links=include_links)
     service_availability, group_values = kernel.evaluate_all(availabilities)
 
@@ -394,7 +282,10 @@ def _analyze_upsim_bdd(
     montecarlo: Optional[MCEstimate] = None
     if montecarlo_samples > 0:
         montecarlo = _sample_service_availability(
-            groups, availabilities, samples=montecarlo_samples, seed=seed
+            service_path_set_groups(upsim, include_links=include_links),
+            availabilities,
+            samples=montecarlo_samples,
+            seed=seed,
         )
 
     importance: List[ImportanceRow] = []

@@ -37,7 +37,6 @@ from typing import (
 
 import numpy as np
 
-from repro.analysis.exact import DEFAULT_KERNEL, system_availability
 from repro.analysis.transformations import component_availabilities
 from repro.core.engine import CompiledTopology, compile_topology
 from repro.core.pathdiscovery import PathSet
@@ -88,12 +87,12 @@ class Nominal:
     variable order.  Keys with the same unordered
     endpoints describe one connectivity event and share one group
     (``group`` maps each key to it).  ``masks`` holds each group's paths
-    as int bitmasks over the components (``bits``); with ``kernel="bdd"``
-    the groups with paths share one memoized kernel and the table's
-    validated probability ``vector``.  A group without paths is never
-    connected, and a truncated path set, which would miss surviving
-    paths, raises :class:`AnalysisError`.  Never mutated after
-    construction, so an abandoned churn worker may hold one.
+    as int bitmasks over the components (``bits``); the groups with paths
+    share one memoized kernel and the table's validated probability
+    ``vector``.  A group without paths is never connected, and a
+    truncated path set, which would miss surviving paths, raises
+    :class:`AnalysisError`.  Never mutated after construction, so an
+    abandoned churn worker may hold one.
     """
 
     def __init__(
@@ -103,7 +102,6 @@ class Nominal:
         compiled: CompiledTopology,
         *,
         include_links: bool = True,
-        kernel: str = DEFAULT_KERNEL,
     ):
         self.group: Dict[Hashable, int] = {}
         self.groups: List[List[FrozenSet[str]]] = []
@@ -134,10 +132,9 @@ class Nominal:
             for group in self.groups
         ]
         self.table = table
-        self.route = kernel
         self._live = [i for i, group in enumerate(self.groups) if group]
         self.kernel = self.vector = None
-        if kernel == "bdd" and self._live:
+        if self._live:
             # sorted paths meet their near-duplicates early in the OR fold,
             # which keeps the cold build's intermediates small
             self.kernel = compile_structure(
@@ -155,24 +152,14 @@ class Nominal:
 
     def rows(
         self, scenarios: Sequence[Tuple[Iterable[str], Mapping[str, float]]]
-    ) -> Tuple[List[float], Optional[List[List[float]]]]:
+    ) -> Tuple[List[float], List[List[float]]]:
         """``(system, per-group)`` availability of each ``(gone, table)``
         row: the *table* with every *gone* element forced to 0.
 
-        On the BDD route one row is one scalar ``evaluate_vector`` sweep
-        and more rows are one ``evaluate_many_all`` batch; both run the
-        same per-node arithmetic, so a row reads the same bits either way.
-        ``"ie"``/``"enum"`` run :func:`system_availability` per row and
-        report no per-group values (``None``).
+        One row is one scalar ``evaluate_vector`` sweep and more rows are
+        one ``evaluate_many_all`` batch; both run the same per-node
+        arithmetic, so a row reads the same bits either way.
         """
-        if self.route != "bdd":
-            systems = []
-            for gone, table in scenarios:
-                forced = {**table, **dict.fromkeys(gone, 0.0)}
-                systems.append(
-                    system_availability(self.groups, forced, kernel=self.route)
-                )
-            return systems, None
         k, width = len(scenarios), len(self.groups)
         if self.kernel is None:
             return [0.0] * k, [[0.0] * width for _ in range(k)]
@@ -217,7 +204,6 @@ def _impacts(
     table: Mapping[str, float],
     *,
     include_links: bool,
-    kernel: str,
 ) -> List[FailureImpact]:
     """One :class:`FailureImpact` per down set: the baseline and every
     conditioned availability are rows of one :meth:`Nominal.rows` call,
@@ -228,7 +214,6 @@ def _impacts(
         table,
         compile_topology(Topology(upsim.model)),
         include_links=include_links,
-        kernel=kernel,
     )
     (baseline, *conditionals), _ = nominal.rows(
         [(frozenset(), table)] + [(down, table) for down in downs]
@@ -258,7 +243,6 @@ def combined_failure_impact(
     *,
     include_links: bool = True,
     availabilities: Optional[Dict[str, float]] = None,
-    kernel: str = DEFAULT_KERNEL,
 ) -> FailureImpact:
     """Assess *components* (nodes and/or ``a|b`` link names) all being down
     at once — the k-fault scenario a resilience campaign sweeps.
@@ -269,14 +253,10 @@ def combined_failure_impact(
     MTBF/MTTR values).
 
     Baseline and conditional availability are two rows of one
-    :class:`Nominal`: with the default ``kernel="bdd"`` the service
-    structure compiles once (and is found in the kernel cache on every
-    later call for the same UPSIM); ``"enum"``/``"ie"`` route through
-    :func:`repro.analysis.exact.system_availability`.
+    :class:`Nominal`: the service structure compiles once (and is found
+    in the kernel cache on every later call for the same UPSIM).
     """
-    with _trace.span(
-        "analysis.failure_impact", components=len(components), kernel=kernel
-    ):
+    with _trace.span("analysis.failure_impact", components=len(components)):
         table = (
             availabilities
             if availabilities is not None
@@ -284,9 +264,7 @@ def combined_failure_impact(
         )
         down = frozenset(components)
         _check_components(upsim, down, table)
-        (impact,) = _impacts(
-            upsim, [down], table, include_links=include_links, kernel=kernel
-        )
+        (impact,) = _impacts(upsim, [down], table, include_links=include_links)
         return impact
 
 
@@ -296,7 +274,6 @@ def failure_impact(
     *,
     include_links: bool = True,
     availabilities: Optional[Dict[str, float]] = None,
-    kernel: str = DEFAULT_KERNEL,
 ) -> FailureImpact:
     """Assess the impact of *component* (a node or ``a|b`` link name) being
     down on every atomic service of the UPSIM."""
@@ -305,7 +282,6 @@ def failure_impact(
         (component,),
         include_links=include_links,
         availabilities=availabilities,
-        kernel=kernel,
     )
 
 
@@ -314,7 +290,6 @@ def impact_table(
     *,
     include_links: bool = False,
     components: Optional[Sequence[str]] = None,
-    kernel: str = DEFAULT_KERNEL,
 ) -> List[FailureImpact]:
     """Failure impact for every UPSIM component (or the given subset),
     ranked most severe first (hard outages before degradations, then by
@@ -323,7 +298,7 @@ def impact_table(
     Defaults to node granularity (``include_links=False``) — the triage
     view an operator wants; pass ``include_links=True`` to rank cables too.
 
-    With the default ``kernel="bdd"`` the whole scan is one batched
+    The whole scan is one batched
     :meth:`~repro.dependability.bdd.AvailabilityKernel.evaluate_many_all`
     sweep: one probability matrix with one row per candidate component,
     one vectorized DAG pass, instead of a full evaluation per component.
@@ -338,15 +313,12 @@ def impact_table(
             )
     table = component_availabilities(upsim.model, include_links=include_links)
     _check_components(upsim, names, table)
-    with _trace.span(
-        "analysis.impact_table", components=len(names), kernel=kernel
-    ):
+    with _trace.span("analysis.impact_table", components=len(names)):
         impacts = _impacts(
             upsim,
             [frozenset((name,)) for name in names],
             table,
             include_links=include_links,
-            kernel=kernel,
         )
     impacts.sort(
         key=lambda impact: (

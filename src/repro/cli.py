@@ -226,13 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
         "degrade:c2:mtbf=100; runs in degradation-tolerant mode and "
         "reports per-pair diagnostics plus the partial UPSIM",
     )
-    case.add_argument(
-        "--kernel",
-        choices=("bdd", "ie", "enum"),
-        default="bdd",
-        help="availability evaluator: compiled BDD kernel (default), "
-        "inclusion-exclusion, or reference state enumeration",
-    )
     _add_dimensions_arg(case)
     _add_observability_args(case)
 
@@ -265,12 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument(
         "--limit", type=int, default=10, help="rows in the text ranking"
-    )
-    campaign.add_argument(
-        "--kernel",
-        choices=("bdd", "ie", "enum"),
-        default="bdd",
-        help="availability evaluator for the sweep (default: compiled BDD)",
     )
     _add_observability_args(campaign)
 
@@ -426,12 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--mc", type=int, default=0)
     analyze.add_argument(
         "--no-links", action="store_true", help="ignore link failures"
-    )
-    analyze.add_argument(
-        "--kernel",
-        choices=("bdd", "ie", "enum"),
-        default="bdd",
-        help="availability evaluator (default: compiled BDD)",
     )
     _add_dimensions_arg(analyze)
 
@@ -595,7 +576,6 @@ def cmd_casestudy(args: argparse.Namespace) -> int:
     print(
         pipeline.analyze(
             montecarlo_samples=args.mc,
-            kernel=args.kernel,
             dimensions=dimensions,
         ).to_text()
     )
@@ -614,7 +594,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         k=args.k,
         ticks=args.ticks,
         include_links=args.links,
-        kernel=args.kernel,
     )
     if args.json:
         print(report.to_json())
@@ -862,7 +841,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         formula=args.formula,
         include_links=not args.no_links,
         montecarlo_samples=args.mc,
-        kernel=args.kernel,
         dimensions=dimensions,
     )
     print(report.to_text())

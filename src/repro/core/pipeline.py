@@ -318,22 +318,12 @@ class MethodologyPipeline:
         max_depth: Optional[int] = None,
         max_paths: Optional[int] = None,
         resilience: Optional["ResiliencePolicy"] = None,
-        kernel: Optional[str] = None,
     ) -> PipelineReport:
         """Execute the automated Steps 5–8, skipping up-to-date stages.
 
         ``resilience`` switches failure semantics from strict (raise on
         the first failing stage or unreachable pair) to graceful
         degradation — see the module docstring.
-
-        ``kernel`` (``"bdd"``/``"ie"``/``"enum"``) pre-selects the
-        availability evaluator for the analysis that follows Step 8:
-        with ``"bdd"`` the service structure is compiled into the
-        memoized BDD kernel as part of Step 8, so the first
-        :meth:`analyze` (and every campaign evaluation of this UPSIM)
-        starts from a warm cache.  The compile runs in this process and
-        sifts the variable order only when the diagram blows up
-        relative to its input.
         """
         self._require_inputs()
         assert self._infrastructure and self._service and self._mapping
@@ -346,21 +336,12 @@ class MethodologyPipeline:
             self._dirty |= {"discover_paths", "generate_upsim"}
             self._discovery_mode = mode
 
-        if kernel is not None:
-            from repro.analysis.exact import KERNELS
-
-            if kernel not in KERNELS:
-                raise ReproError(
-                    f"unknown availability kernel {kernel!r}; "
-                    f"expected one of {KERNELS}"
-                )
-
         report = PipelineReport()
         _M_RUNS.inc()
 
         with _trace.span("pipeline.run", mode=mode) as run_span:
             if resilience is None:
-                self._run_stages(report, max_depth, max_paths, None, kernel)
+                self._run_stages(report, max_depth, max_paths, None)
                 self._run_population_stage(report)
                 report.upsim = self.upsim
                 run_span.set(executed=len(report.executed_stages()))
@@ -369,9 +350,7 @@ class MethodologyPipeline:
             # resilient mode: per-stage error isolation — a failing stage is
             # recorded, its dependents are skipped, and the report returns
             try:
-                self._run_stages(
-                    report, max_depth, max_paths, resilience, kernel
-                )
+                self._run_stages(report, max_depth, max_paths, resilience)
             except ReproError as exc:
                 failed = (
                     report.stages[-1].stage
@@ -412,7 +391,6 @@ class MethodologyPipeline:
         max_depth: Optional[int],
         max_paths: Optional[int],
         resilience: Optional["ResiliencePolicy"],
-        kernel: Optional[str] = None,
     ) -> None:
         assert self._infrastructure and self._service and self._mapping
 
@@ -518,15 +496,9 @@ class MethodologyPipeline:
                     self.upsim = None
                     raise
                 self._mark_upsim_entities()
-                if kernel is not None:
-                    self._warm_kernel(kernel, resilient=resilience is not None)
                 self._dirty.discard("generate_upsim")
         else:
             _reused_stage(report, "generate_upsim")
-            if kernel is not None and self.upsim is not None:
-                # a reused Step 8 still warms the kernel cache (memoized —
-                # free when an earlier run already compiled the structure)
-                self._warm_kernel(kernel, resilient=resilience is not None)
 
     def _run_population_stage(self, report: PipelineReport) -> None:
         """Optional Step 9: population-scale evaluation (see
@@ -566,29 +538,10 @@ class MethodologyPipeline:
                 )
         report.population = self._population_report
 
-    def _warm_kernel(self, kernel: str, *, resilient: bool) -> None:
-        """Pre-compile the availability kernel for the generated UPSIM.
-
-        Only ``"bdd"`` has structure to compile; the reference kernels
-        evaluate from scratch every time.  Partial UPSIMs (resilient mode
-        with unreachable pairs) have no total structure function — the
-        warm-up is skipped rather than failed.
-        """
-        if kernel != "bdd" or self.upsim is None:
-            return
-        from repro.analysis.transformations import service_availability_kernel
-
-        try:
-            service_availability_kernel(self.upsim, include_links=True)
-        except ReproError:
-            if not resilient:
-                raise
-
     def analyze(self, **kwargs):
         """Section-VII availability analysis of the generated UPSIM
         (delegates to :func:`repro.analysis.report.analyze_upsim`; pass
-        ``kernel=...``, ``dimensions=[...]`` and friends through as
-        keyword arguments)."""
+        ``dimensions=[...]`` and friends through as keyword arguments)."""
         if self.upsim is None:
             raise ReproError(
                 "pipeline has not produced a UPSIM yet; call run() first"
@@ -601,8 +554,7 @@ class MethodologyPipeline:
         """Registry-backed multi-dimension evaluation of the Step-8 UPSIM
         (delegates to :func:`repro.dimensions.evaluate_dimensions`): one
         compile and one structure pass serve every selected
-        probability-valued dimension, reusing the kernel that
-        ``run(kernel="bdd")`` warms."""
+        probability-valued dimension (kernels memoize by structure)."""
         if self.upsim is None:
             raise ReproError(
                 "pipeline has not produced a UPSIM yet; call run() first"

@@ -1333,9 +1333,11 @@ _KERNEL_TIER = _store.Tier(
 )
 
 
-#: a compile sifts only when the compiled manager is both large and
-#: bloated relative to its input (nodes ≥ growth × total path-set
-#: incidences) — well-ordered structures never pay the sifting pass
+#: a compile sifts only when the compiled diagram is both large and
+#: bloated relative to its input (nodes reachable from the roots ≥
+#: growth × total path-set incidences) — well-ordered structures never
+#: pay the sifting pass, and the OR fold's dead intermediates, which
+#: the manager still holds, do not count
 _AUTO_MIN_NODES = 2048
 _AUTO_GROWTH = 8
 
@@ -1441,8 +1443,9 @@ def compile_structure(
     is a single decision level reused by every function that tests it.
     Construction goes through the array-native bulk plane (open-addressed
     tables + level-synchronous apply batches).  A sifting pass reorders
-    the variables only when the manager blew up relative to its input
-    structure (see ``_AUTO_MIN_NODES``/``_AUTO_GROWTH``).
+    the variables, and the kernel is rebuilt, only when the diagram
+    reachable from the roots blew up relative to its input structure
+    (see ``_AUTO_MIN_NODES``/``_AUTO_GROWTH``).
 
     With an artifact store active (``REPRO_STORE``/``--store``) an LRU
     miss first tries the on-disk linearized arrays — a fresh process
@@ -1466,16 +1469,23 @@ def compile_structure(
                 _OP_AND, [np.array(unique_roots, dtype=np.int64)]
             )[0]
             variables = tuple(ordered)
-            incidences = sum(len(path) for group in groups for path in group)
-            bloat = max(_AUTO_MIN_NODES, _AUTO_GROWTH * max(1, incidences))
-            if len(bdd) - 2 >= bloat:
-                bdd, (system, *group_roots), variables = _sift(
-                    bdd, [system, *group_roots], variables
-                )
             kernel = AvailabilityKernel(
                 bdd, system, group_roots, variables, fingerprint
             )
-            span.set(nodes=len(bdd) - 2, ite_cache_hits=bdd.cache_hits)
+            incidences = sum(len(path) for group in groups for path in group)
+            bloat = max(_AUTO_MIN_NODES, _AUTO_GROWTH * max(1, incidences))
+            if kernel.size >= bloat:
+                bdd, (system, *group_roots), variables = _sift(
+                    bdd, [system, *group_roots], variables
+                )
+                kernel = AvailabilityKernel(
+                    bdd, system, group_roots, variables, fingerprint
+                )
+            span.set(
+                nodes=kernel.size,
+                allocated=len(bdd) - 2,
+                ite_cache_hits=bdd.cache_hits,
+            )
         with _STATS_LOCK:
             _STATS["compilations"] += 1
         _M_COMPILATIONS.inc()

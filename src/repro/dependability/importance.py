@@ -41,6 +41,13 @@ class ImportanceRow:
     fussell_vesely: float
 
 
+def _rank(row: ImportanceRow):
+    """Descending Birnbaum importance, rounded to 12 decimals so that
+    symmetric components, whose values differ only in float noise,
+    rank by name whichever evaluator produced them."""
+    return (-round(row.birnbaum, 12), row.component)
+
+
 def importance_table(
     evaluator: Evaluator,
     availabilities: Dict[str, float],
@@ -50,7 +57,7 @@ def importance_table(
 
     *evaluator* must be deterministic in its argument; it is called with
     perturbed copies of *availabilities* (component pinned to 0 or 1).
-    Rows are sorted by descending Birnbaum importance.
+    Rows are sorted by descending Birnbaum importance, ties by name.
     """
     names = list(components) if components is not None else sorted(availabilities)
     unknown = [n for n in names if n not in availabilities]
@@ -88,7 +95,7 @@ def importance_table(
                 fussell_vesely=fussell_vesely,
             )
         )
-    rows.sort(key=lambda row: (-row.birnbaum, row.component))
+    rows.sort(key=_rank)
     return rows
 
 
@@ -147,5 +154,5 @@ def importance_from_birnbaum(
                 fussell_vesely=fussell_vesely,
             )
         )
-    rows.sort(key=lambda row: (-row.birnbaum, row.component))
+    rows.sort(key=_rank)
     return rows

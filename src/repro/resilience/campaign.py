@@ -46,7 +46,6 @@ from typing import (
     Union,
 )
 
-from repro.analysis.exact import DEFAULT_KERNEL, KERNELS
 from repro.analysis.transformations import component_availabilities
 from repro.analysis.whatif import Nominal
 from repro.core.engine import compile_topology
@@ -67,6 +66,10 @@ from repro.services.composite import CompositeService
 from repro.uml.objects import ObjectModel
 
 __all__ = ["CampaignResult", "CampaignReport", "run_campaign", "default_candidates"]
+
+#: :func:`run_campaign`'s ``kernel=`` values: the compiled BDD, and the
+#: inclusion–exclusion and state-enumeration oracles.
+_KERNELS = ("bdd", "ie", "enum")
 
 _M_CAMPAIGNS = _metrics.counter(
     "repro_campaign_runs_total", "Fault-injection campaigns executed"
@@ -244,7 +247,7 @@ def run_campaign(
     k: int = 1,
     ticks: int = 4,
     include_links: bool = False,
-    kernel: str = DEFAULT_KERNEL,
+    kernel: str = "bdd",
 ) -> CampaignReport:
     """Sweep all 1..k-fault combinations of the candidate faults.
 
@@ -261,21 +264,22 @@ def run_campaign(
     plan's availability is one row — degrade overrides applied, gone
     elements set to 0 — of one batch over the nominal structure.
 
-    *kernel* selects the availability evaluator
-    (:data:`repro.analysis.exact.KERNELS`).  The default ``"bdd"``
-    compiles the service structure once and evaluates every row in one
+    *kernel* is the end-to-end benchmark's oracle hook and goes when
+    that benchmark checks against the test oracles instead.  The
+    default ``"bdd"`` evaluates every row in one
     :meth:`~repro.dependability.bdd.AvailabilityKernel.evaluate_many_all`
-    pass; ``"ie"``/``"enum"`` evaluate row by row.  The report is
-    byte-identical for equal inputs regardless of kernel (up to float
-    noise between kernels).
+    pass of the nominal compile; ``"ie"`` (inclusion–exclusion over the
+    system path sets) and ``"enum"`` (state enumeration) evaluate row by
+    row.  The report is byte-identical for equal inputs regardless of
+    kernel (up to float noise between kernels).
     """
     if k < 1:
         raise FaultPlanError(f"campaign needs k >= 1, got {k}")
     if ticks < 1:
         raise FaultPlanError(f"campaign needs ticks >= 1, got {ticks}")
-    if kernel not in KERNELS:
+    if kernel not in _KERNELS:
         raise FaultPlanError(
-            f"unknown availability kernel {kernel!r}; expected one of {KERNELS}"
+            f"unknown availability kernel {kernel!r}; expected one of {_KERNELS}"
         )
     topology = (
         infrastructure
@@ -294,7 +298,6 @@ def run_campaign(
         upsim.path_sets,
         nominal_table,
         compile_topology(Topology(upsim.model)),
-        kernel=kernel,
     )
 
     if candidates is None:
@@ -406,7 +409,7 @@ def run_campaign(
         with _trace.span(
             "campaign.evaluate", rows=len(evaluations), kernel=kernel
         ):
-            (baseline, *availabilities), _ = nominal.rows(scenarios)
+            baseline, *availabilities = _evaluate(nominal, scenarios, kernel)
         for evaluation, availability in zip(
             evaluations.values(), availabilities
         ):
@@ -424,6 +427,24 @@ def run_campaign(
         pairs=pairs,
         results=results,
     )
+
+
+def _evaluate(
+    nominal: Nominal,
+    scenarios: List[Tuple[FrozenSet[str], Dict[str, float]]],
+    kernel: str,
+) -> List[float]:
+    """The service availability of every ``(gone, table)`` row."""
+    if kernel == "bdd":
+        return nominal.rows(scenarios)[0]
+    from repro.analysis.exact import system_availability_reference, system_path_sets
+    from repro.dependability.cutsets import inclusion_exclusion
+
+    forced = [{**table, **dict.fromkeys(gone, 0.0)} for gone, table in scenarios]
+    if kernel == "ie":
+        sets = system_path_sets(nominal.groups)
+        return [inclusion_exclusion(sets, table) for table in forced]
+    return [system_availability_reference(nominal.groups, table) for table in forced]
 
 
 def _combinations(

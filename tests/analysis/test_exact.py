@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.exact import MAX_COMPONENTS, pair_availability, system_availability
+from repro.analysis.exact import (
+    MAX_COMPONENTS,
+    pair_availability,
+    system_availability,
+    system_availability_reference,
+)
 from repro.dependability.cutsets import inclusion_exclusion
 from repro.errors import AnalysisError
 
@@ -80,12 +85,12 @@ class TestSystemAvailability:
             system_availability([[fs("a")]], {"a": 1.5})
 
     def test_component_bound_enforced(self):
-        # the bound belongs to the enumeration kernel; the bdd default
-        # has no component limit, so it must be requested explicitly
+        # the bound belongs to the enumeration reference; the product's
+        # bdd route has no component limit
         groups = [[fs({f"c{i}"}) for i in range(MAX_COMPONENTS + 1)]]
         table = {f"c{i}": 0.5 for i in range(MAX_COMPONENTS + 1)}
         with pytest.raises(AnalysisError):
-            system_availability(groups, table, kernel="enum")
+            system_availability_reference(groups, table)
         assert system_availability(groups, table) == pytest.approx(
             1.0 - 0.5 ** (MAX_COMPONENTS + 1)
         )

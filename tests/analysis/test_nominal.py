@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.exact import system_availability
+from repro.analysis.exact import system_availability_reference
 from repro.analysis.whatif import Nominal
 from repro.core import discover_paths
 from repro.core.engine import compile_topology
@@ -121,9 +121,9 @@ def test_nominal_conditions_like_rediscovery_and_enumeration(case):
             for pair in pairs
         ]
         assert system == pytest.approx(
-            system_availability(enum_groups, forced, kernel="enum"), abs=1e-12
+            system_availability_reference(enum_groups, forced), abs=1e-12
         )
         for group, value in zip(enum_groups, row_groups):
             assert value == pytest.approx(
-                system_availability([group], forced, kernel="enum"), abs=1e-12
+                system_availability_reference([group], forced), abs=1e-12
             )

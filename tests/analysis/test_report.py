@@ -2,7 +2,22 @@
 
 import pytest
 
+from repro.analysis.exact import (
+    pair_availability_reference,
+    system_availability_reference,
+)
 from repro.analysis.report import analyze_upsim
+from repro.analysis.transformations import (
+    component_availabilities,
+    pair_path_sets,
+    service_path_set_groups,
+)
+from repro.dependability.cutsets import (
+    esary_proschan_bounds,
+    minimal_cut_sets,
+    minimize_sets,
+)
+from repro.dependability.importance import importance_table
 from repro.errors import AnalysisError
 
 
@@ -75,7 +90,8 @@ class TestServiceLevel:
 
     def test_importance_ranked(self, report):
         assert report.importance
-        birnbaums = [r.birnbaum for r in report.importance]
+        # descending to 12 decimals: float-noise ties rank by name
+        birnbaums = [round(r.birnbaum, 12) for r in report.importance]
         assert birnbaums == sorted(birnbaums, reverse=True)
         assert report.importance[0].component == "t1"
 
@@ -113,40 +129,38 @@ class TestServiceLevel:
 
 
 class TestKernelEquivalence:
-    """The BDD, inclusion–exclusion and enumeration kernels produce the
-    same report (the new default is ``kernel="bdd"``)."""
+    """The report's one BDD route against the state-enumeration
+    reference, fed the same inputs the report reads."""
 
     def test_bdd_matches_enum(self, upsim_t1_p2):
-        via_bdd = analyze_upsim(
-            upsim_t1_p2, montecarlo_samples=0, kernel="bdd"
+        report = analyze_upsim(upsim_t1_p2, montecarlo_samples=0)
+        table = component_availabilities(upsim_t1_p2.model)
+        groups = service_path_set_groups(upsim_t1_p2)
+        assert report.service_availability == pytest.approx(
+            system_availability_reference(groups, table), abs=1e-12
         )
-        via_enum = analyze_upsim(
-            upsim_t1_p2, montecarlo_samples=0, kernel="enum"
-        )
-        assert via_bdd.service_availability == pytest.approx(
-            via_enum.service_availability, abs=1e-12
-        )
-        assert len(via_bdd.pairs) == len(via_enum.pairs)
-        for a, b in zip(via_bdd.pairs, via_enum.pairs):
-            assert (a.requester, a.provider) == (b.requester, b.provider)
-            assert a.availability == pytest.approx(b.availability, abs=1e-12)
-            assert a.lower_bound == pytest.approx(b.lower_bound, abs=1e-12)
-            assert a.upper_bound == pytest.approx(b.upper_bound, abs=1e-12)
-            assert sorted(a.min_cut_sets, key=sorted) == sorted(
-                b.min_cut_sets, key=sorted
+        assert len(report.pairs) == len(upsim_t1_p2.path_sets)
+        for a, path_set in zip(report.pairs, upsim_t1_p2.path_sets.values()):
+            sets = minimize_sets(pair_path_sets(path_set))
+            cuts = minimal_cut_sets(sets)
+            lower, upper = esary_proschan_bounds(sets, cuts, table)
+            assert (a.requester, a.provider) == (
+                path_set.requester,
+                path_set.provider,
             )
+            assert a.availability == pytest.approx(
+                pair_availability_reference(sets, table), abs=1e-12
+            )
+            assert a.lower_bound == pytest.approx(lower, abs=1e-12)
+            assert a.upper_bound == pytest.approx(upper, abs=1e-12)
+            assert sorted(a.min_cut_sets, key=sorted) == sorted(cuts, key=sorted)
 
     def test_importance_values_match(self, upsim_t1_p2):
-        via_bdd = analyze_upsim(
-            upsim_t1_p2, montecarlo_samples=0, kernel="bdd"
-        )
-        via_enum = analyze_upsim(
-            upsim_t1_p2, montecarlo_samples=0, kernel="enum"
-        )
-        # symmetric components can swap rank on 1e-16 noise, so compare
-        # per-component values rather than row order
-        bdd_rows = {row.component: row for row in via_bdd.importance}
-        enum_rows = {row.component: row for row in via_enum.importance}
+        report = analyze_upsim(upsim_t1_p2, montecarlo_samples=0)
+        bdd_rows = {row.component: row for row in report.importance}
+        enum_rows = {
+            row.component: row for row in _reference_importance(upsim_t1_p2)
+        }
         assert bdd_rows.keys() == enum_rows.keys()
         for name, row in bdd_rows.items():
             other = enum_rows[name]
@@ -161,18 +175,38 @@ class TestKernelEquivalence:
                 other.fussell_vesely, abs=1e-8
             )
 
-    def test_unknown_kernel_rejected(self, upsim_t1_p2):
-        with pytest.raises(AnalysisError, match="unknown availability kernel"):
-            analyze_upsim(upsim_t1_p2, kernel="magic")
+    def test_importance_ranking_matches_reference(self, upsim_t1_p2):
+        """Symmetric components (c1/c2, d1/d2) differ in the last float
+        bits between routes; ties rank by name on both."""
+        report = analyze_upsim(upsim_t1_p2, montecarlo_samples=0)
+        assert [row.component for row in report.importance] == [
+            row.component for row in _reference_importance(upsim_t1_p2)
+        ]
 
+    def test_unknown_kernel_rejected(self, upsim_t1_p2):
+        # the compiled BDD is the one route: no evaluator keyword
+        with pytest.raises(TypeError, match="kernel"):
+            analyze_upsim(upsim_t1_p2, kernel="enum")
+
+
+def _reference_importance(upsim):
+    """The report's top-10 importance rows, every pinned evaluation by
+    state enumeration."""
+    table = component_availabilities(upsim.model)
+    groups = service_path_set_groups(upsim)
+    return importance_table(
+        lambda values: system_availability_reference(groups, values),
+        table,
+        list(upsim.component_names),
+    )[:10]
 
 
 class TestEnumBound:
     def test_enum_beyond_bound_raises(self):
-        """``kernel="enum"`` raises the typed bound error instead of
-        reporting a Monte-Carlo estimate.  A 14-switch chain serves two
-        13-component pairs: each pair is within the bound, their
-        26-component union is not."""
+        """The enumeration reference raises the typed bound error instead
+        of reporting an estimate, while the report's BDD route has no
+        bound.  A 14-switch chain serves two 13-component pairs: each
+        pair is within the bound, their 26-component union is not."""
         from repro.core import ServiceMapping, ServiceMappingPair, generate_upsim
         from repro.network import DeviceSpec, TopologyBuilder
         from repro.services import AtomicService, CompositeService
@@ -194,5 +228,7 @@ class TestEnumBound:
             ]
         )
         upsim = generate_upsim(builder.build(validate=False), service, mapping)
+        table = component_availabilities(upsim.model)
         with pytest.raises(AnalysisError, match="22-component bound"):
-            analyze_upsim(upsim, kernel="enum")
+            system_availability_reference(service_path_set_groups(upsim), table)
+        assert 0.0 < analyze_upsim(upsim).service_availability < 1.0

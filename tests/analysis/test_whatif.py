@@ -2,6 +2,11 @@
 
 import pytest
 
+from repro.analysis.exact import system_availability_reference
+from repro.analysis.transformations import (
+    component_availabilities,
+    service_path_set_groups,
+)
 from repro.analysis.whatif import failure_impact, impact_table
 from repro.core import ServiceMapping, ServiceMappingPair, generate_upsim
 from repro.errors import AnalysisError
@@ -135,32 +140,47 @@ class TestImpactTable:
 
 
 class TestKernelEquivalence:
+    """The conditioned BDD rows against state enumeration of the same
+    groups with the down component forced to 0."""
+
     def test_impact_table_bdd_matches_enum(self, upsim_t1_p2):
-        via_bdd = impact_table(upsim_t1_p2, kernel="bdd")
-        via_enum = impact_table(upsim_t1_p2, kernel="enum")
-        assert [r.component for r in via_bdd] == [
-            r.component for r in via_enum
-        ]
-        for a, b in zip(via_bdd, via_enum):
-            assert a.baseline_availability == pytest.approx(
-                b.baseline_availability, abs=1e-12
+        impacts = impact_table(upsim_t1_p2)
+        groups = service_path_set_groups(upsim_t1_p2, include_links=False)
+        table = component_availabilities(upsim_t1_p2.model, include_links=False)
+        baseline = system_availability_reference(groups, table)
+        conditional = {
+            impact.component: system_availability_reference(
+                groups, {**table, impact.component: 0.0}
             )
-            assert a.conditional_availability == pytest.approx(
-                b.conditional_availability, abs=1e-12
+            for impact in impacts
+        }
+        disconnected = {i.component: i.disconnected_services for i in impacts}
+        assert [i.component for i in impacts] == sorted(
+            conditional,
+            key=lambda name: (
+                -len(disconnected[name]),
+                conditional[name] - baseline,
+                name,
+            ),
+        )
+        for impact in impacts:
+            assert impact.baseline_availability == pytest.approx(
+                baseline, abs=1e-12
             )
-            assert a.disconnected_services == b.disconnected_services
-            assert a.degraded_services == b.degraded_services
+            assert impact.conditional_availability == pytest.approx(
+                conditional[impact.component], abs=1e-12
+            )
 
     def test_failure_impact_bdd_matches_enum(self, upsim_t1_p2):
-        via_bdd = failure_impact(upsim_t1_p2, "c1", kernel="bdd")
-        via_enum = failure_impact(upsim_t1_p2, "c1", kernel="enum")
-        assert via_bdd.conditional_availability == pytest.approx(
-            via_enum.conditional_availability, abs=1e-12
+        impact = failure_impact(upsim_t1_p2, "c1")
+        groups = service_path_set_groups(upsim_t1_p2)
+        table = component_availabilities(upsim_t1_p2.model)
+        assert impact.conditional_availability == pytest.approx(
+            system_availability_reference(groups, {**table, "c1": 0.0}),
+            abs=1e-12,
         )
-        # a crashed component forces availability to exactly zero on both
-        # routes, so the classification is identical, not just close
-        assert via_bdd.disconnected_services == via_enum.disconnected_services
 
     def test_unknown_kernel_rejected(self, upsim_t1_p2):
-        with pytest.raises(AnalysisError, match="unknown availability kernel"):
-            impact_table(upsim_t1_p2, kernel="magic")
+        # the compiled BDD is the one route: no evaluator keyword
+        with pytest.raises(TypeError, match="kernel"):
+            impact_table(upsim_t1_p2, kernel="enum")

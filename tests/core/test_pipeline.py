@@ -248,24 +248,10 @@ class TestUSIIntegration:
 
 
 class TestAvailabilityKernel:
-    def test_run_warms_kernel_cache(self, pipeline):
-        from repro.dependability.bdd import kernel_cache_clear, kernel_cache_info
-
-        kernel_cache_clear()
-        pipeline.run(kernel="bdd")
-        warmed = kernel_cache_info()
-        assert warmed["currsize"] == 1
-        # the post-run analysis reuses the compiled kernel, no recompile
-        report = pipeline.analyze(montecarlo_samples=0)
-        after = kernel_cache_info()
-        assert after["currsize"] == warmed["currsize"]
-        assert after["hits"] > warmed["hits"]
-        assert 0.0 < report.service_availability <= 1.0
-        kernel_cache_clear()
-
     def test_unknown_kernel_rejected(self, pipeline):
-        with pytest.raises(ReproError, match="unknown availability kernel"):
-            pipeline.run(kernel="magic")
+        # the compiled BDD is the one route: no evaluator keyword
+        with pytest.raises(TypeError, match="kernel"):
+            pipeline.run(kernel="enum")
 
     def test_analyze_requires_a_run(self, diamond, service, mapping):
         fresh = (

@@ -1,6 +1,6 @@
 """Cross-kernel differential fuzzing: bdd vs ie vs enum.
 
-The three availability kernels (:data:`repro.analysis.exact.KERNELS`)
+The product's availability route and its two oracles (:data:`ROUTES`)
 implement the same semantics by radically different algorithms — compiled
 BDD evaluation, inclusion–exclusion over minimized system path sets, and
 vectorized state enumeration.  Any divergence between them is a bug in at
@@ -31,7 +31,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.exact import (
-    KERNELS,
     system_availability,
     system_availability_reference,
     system_path_sets,
@@ -39,12 +38,27 @@ from repro.analysis.exact import (
 from repro.core.engine import discover
 from repro.dependability.bdd import compile_structure
 from tests.conftest import always_sift
-from repro.dependability.cutsets import minimal_cut_sets, path_components
+from repro.dependability.cutsets import (
+    inclusion_exclusion,
+    minimal_cut_sets,
+    path_components,
+)
 from repro.network.builder import TopologyBuilder
 from repro.network.components import DeviceSpec
 from repro.network.topology import Topology
+from repro.resilience.campaign import _KERNELS
 
 TOLERANCE = 1e-12
+
+#: The compiled BDD, inclusion–exclusion over the minimized system path
+#: sets, and vectorized state enumeration.
+ROUTES = {
+    "bdd": system_availability,
+    "ie": lambda structure, table: inclusion_exclusion(
+        system_path_sets(structure), table
+    ),
+    "enum": system_availability_reference,
+}
 
 #: Small shared pool: every structure draws from these names, so shared
 #: components across groups (the hard case for naive multiplication) are
@@ -69,8 +83,7 @@ tables = st.fixed_dictionaries({name: availability_values for name in POOL})
 def test_availability_kernels_agree(structure, table):
     """All three kernels produce the same system availability."""
     results = {
-        kernel: system_availability(structure, table, kernel=kernel)
-        for kernel in KERNELS
+        kernel: route(structure, table) for kernel, route in ROUTES.items()
     }
     reference = system_availability_reference(structure, table)
     for kernel, value in results.items():
@@ -163,8 +176,8 @@ def test_discovered_paths_agree_across_kernels(extra, table, data):
     ]
     node_table = {name: table[f"c{i}"] for i, name in enumerate(NODES)}
     reference = system_availability_reference([node_sets], node_table)
-    for kernel in KERNELS:
-        value = system_availability([node_sets], node_table, kernel=kernel)
+    for kernel, route in ROUTES.items():
+        value = route([node_sets], node_table)
         assert value == pytest.approx(reference, abs=TOLERANCE), (
             f"kernel {kernel!r} diverged on discovered paths "
             f"{requester}->{provider} with chords {sorted(extra)!r}"
@@ -172,8 +185,9 @@ def test_discovered_paths_agree_across_kernels(extra, table, data):
 
 
 def test_kernel_names_are_exhaustive():
-    """The differential harness covers every registered kernel."""
-    assert set(KERNELS) == {"bdd", "ie", "enum"}
+    """The differential harness covers every evaluator run_campaign
+    accepts."""
+    assert set(ROUTES) == set(_KERNELS)
 
 
 def test_exhaustive_small_structures_agree():
@@ -191,8 +205,8 @@ def test_exhaustive_small_structures_agree():
         for combo in itertools.combinations(all_paths, r):
             structure = [list(combo)]
             reference = system_availability_reference(structure, table)
-            for kernel in KERNELS:
-                value = system_availability(structure, table, kernel=kernel)
+            for route in ROUTES.values():
+                value = route(structure, table)
                 assert value == pytest.approx(reference, abs=TOLERANCE)
 
 

@@ -16,6 +16,7 @@ import random
 import pytest
 
 import repro.store as store_mod
+from repro.dependability import bdd
 from repro.analysis.exact import system_availability_reference
 from repro.dependability.bdd import (
     compile_structure,
@@ -125,6 +126,26 @@ class TestSiftEquivalence:
         table = {v: 0.9 for v in order}
         assert kernel.availability(table) == pytest.approx(
             system_availability_reference(groups, table), abs=TOLERANCE
+        )
+
+    def test_rule_counts_reachable_nodes_not_the_manager(self, monkeypatch):
+        """60 sliding windows of 8 over one pool: the OR fold leaves 5,416
+        nodes in the manager, past the 8 × 480-incidence threshold of
+        3,840, but only 3,196 are reachable from the roots — so the
+        default compile does not sift, and it equals the unsifted one."""
+        pool = [f"w{i:03d}" for i in range(68)]
+        groups = [[frozenset(pool[i : i + 8]) for i in range(60)]]
+        passes = bdd._M_REORDER_PASSES.value
+        kernel = compile_structure(groups, use_cache=False)
+        assert bdd._M_REORDER_PASSES.value == passes
+        assert kernel.variables == frequency_order(groups)
+        assert kernel.size < 8 * 480 <= len(kernel._bdd) - 2
+        monkeypatch.setattr(bdd, "_AUTO_MIN_NODES", 10**9)
+        unsifted = compile_structure(groups, use_cache=False)
+        rng = random.Random(3)
+        table = {c: rng.uniform(0.5, 0.99) for c in pool}
+        assert kernel.availability(table) == pytest.approx(
+            unsifted.availability(table), abs=TOLERANCE
         )
 
 

@@ -58,7 +58,7 @@ def _legacy_values(groups, table):
     components = sorted({c for g in groups for p in g for c in p})
     sub_table = {c: table[c] for c in components}
 
-    availability = system_availability(groups, table, kernel="bdd")
+    availability = system_availability(groups, table)
     performability = None
     if len(components) <= MAX_EXACT_COMPONENTS:
         performability = expected_reward_reference(
@@ -147,7 +147,7 @@ class TestCaseStudy:
         groups = service_path_set_groups(upsim_t15_p3, include_links=True)
         table = component_availabilities(upsim_t15_p3.model, include_links=True)
         assert report["availability"].value == pytest.approx(
-            system_availability(groups, table, kernel="bdd"), abs=1e-12
+            system_availability(groups, table), abs=1e-12
         )
 
     def test_delegates_agree_with_registry(self, upsim_t1_p2):

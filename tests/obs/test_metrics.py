@@ -170,13 +170,11 @@ class TestLiveInstrumentation:
             assert isinstance(metric, Gauge)
             assert metric.value >= 0.0
 
-    def test_analysis_evaluations_labeled_by_kernel(self, fresh):
+    def test_analysis_evaluations_counted(self, fresh):
         from repro.analysis.exact import system_availability
 
         family = _metrics.registry().get("repro_analysis_evaluations_total")
         assert isinstance(family, Counter)
-        before = family.labels(kernel="enum").value
-        system_availability(
-            [[frozenset({"a"})]], {"a": 0.9}, kernel="enum"
-        )
-        assert family.labels(kernel="enum").value == before + 1
+        before = family.value
+        system_availability([[frozenset({"a"})]], {"a": 0.9})
+        assert family.value == before + 1

@@ -5,7 +5,9 @@
 resolved fault plan the slow, obvious way: apply the plan as a
 copy-on-write overlay (:meth:`FaultPlan.apply`), rediscover every
 mapping pair on it (:func:`discover_many_resilient`), and evaluate the
-availability with :func:`combined_failure_impact`.
+availability with :func:`combined_failure_impact` (``kernel="bdd"``) or
+with the inclusion–exclusion or state-enumeration reference of the same
+groups (``"ie"``/``"enum"``).
 
 The production campaign conditions one nominal compile instead.  The
 metamorphic relation "a campaign by conditioning equals a campaign by
@@ -17,10 +19,12 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
+from repro.analysis.exact import system_availability_reference, system_path_sets
 from repro.analysis.transformations import component_availabilities
 from repro.analysis.whatif import combined_failure_impact
 from repro.core.mapping import ServiceMapping
-from repro.core.upsim import generate_upsim
+from repro.core.upsim import UPSIM, generate_upsim
+from repro.dependability.cutsets import inclusion_exclusion, path_components
 from repro.errors import FaultPlanError
 from repro.network.topology import Topology
 from repro.resilience import (
@@ -39,15 +43,35 @@ from repro.uml.objects import ObjectModel
 __all__ = ["run_campaign_overlay", "assert_conditioning_matches_overlay"]
 
 
+def _availability(
+    upsim: UPSIM, table: Dict[str, float], down: Iterable[str], kernel: str
+) -> float:
+    """The service availability with every *down* element at 0."""
+    if kernel == "bdd":
+        return combined_failure_impact(
+            upsim, tuple(down), availabilities=table
+        ).conditional_availability
+    # one group per unordered endpoint pair, first seen first, as the
+    # campaign's nominal structure groups them
+    groups: Dict[Tuple[str, ...], list] = {}
+    for path_set in upsim.path_sets.values():
+        groups.setdefault(
+            tuple(sorted((path_set.requester, path_set.provider))),
+            [path_components(path) for path in path_set.paths],
+        )
+    forced = {**table, **dict.fromkeys(down, 0.0)}
+    if kernel == "ie":
+        return inclusion_exclusion(system_path_sets(list(groups.values())), forced)
+    return system_availability_reference(list(groups.values()), forced)
+
+
 def _evaluate(topology, upsim, pairs, plan, nominal, kernel):
     """(diagnostics, unreachable, disconnected, degraded, availability)
     of one resolved plan, by overlay rediscovery."""
     outcome = discover_many_resilient(plan.apply(topology), pairs)
     table = _degraded_table(upsim, plan, nominal)
     structural = [name for name in plan.component_names() if name in table]
-    impact = combined_failure_impact(
-        upsim, structural, availabilities=table, kernel=kernel
-    )
+    impact = combined_failure_impact(upsim, structural, availabilities=table)
     degraded = set(impact.degraded_services)
     weakened = {
         target
@@ -68,7 +92,7 @@ def _evaluate(topology, upsim, pairs, plan, nominal, kernel):
         tuple((d.requester, d.provider) for d in outcome.failed()),
         impact.disconnected_services,
         tuple(sorted(degraded)),
-        impact.conditional_availability,
+        _availability(upsim, table, structural, kernel),
     )
 
 
@@ -99,9 +123,7 @@ def run_campaign_overlay(
         for pair in mapping.pairs_for_service(service)
     )
     nominal = component_availabilities(upsim.model, include_links=True)
-    baseline = combined_failure_impact(
-        upsim, (), availabilities=nominal, kernel=kernel
-    ).baseline_availability
+    baseline = _availability(upsim, nominal, (), kernel)
     if candidates is None:
         pool = default_candidates(upsim, include_links=include_links)
     else:

@@ -2,9 +2,18 @@
 
 import pytest
 
+from repro.analysis.exact import (
+    pair_availability_reference,
+    system_availability_reference,
+)
+from repro.analysis.transformations import (
+    component_availabilities,
+    pair_path_sets,
+    service_path_set_groups,
+)
 from repro.casestudy import printing_mapping, printing_service, usi_builder
 from repro.cli import main
-from repro.core import ServiceMapping, ServiceMappingPair
+from repro.core import MethodologyPipeline, ServiceMapping, ServiceMappingPair
 from repro.network import DeviceSpec, TopologyBuilder
 from repro.services import AtomicService, CompositeService
 from repro.uml import xmi
@@ -192,20 +201,36 @@ class TestFileCommands:
 
 
 class TestKernelFlag:
-    def test_casestudy_kernels_agree(self, capsys):
-        outputs = {}
-        for kernel in ("bdd", "enum"):
-            assert main(["casestudy", "--kernel", kernel]) == 0
-            outputs[kernel] = capsys.readouterr().out
-        assert "service (all pairs)" in outputs["bdd"]
-        # same report either way: identical availability figures (tied
-        # importance rows may swap order on float noise, so compare the
-        # line multiset, not the exact string)
-        assert sorted(outputs["bdd"].splitlines()) == sorted(
-            outputs["enum"].splitlines()
+    """``--kernel`` is gone: the compiled BDD is the one route, checked
+    here against the state-enumeration reference kernels."""
+
+    def test_casestudy_kernels_agree(self, monkeypatch, capsys):
+        """The default ``casestudy`` report's pair and service
+        availabilities equal the references to 1e-12."""
+        reports = []
+        analyze = MethodologyPipeline.analyze
+
+        def spy(pipeline, **kwargs):
+            reports.append((pipeline.upsim, analyze(pipeline, **kwargs)))
+            return reports[-1][1]
+
+        monkeypatch.setattr(MethodologyPipeline, "analyze", spy)
+        assert main(["casestudy"]) == 0
+        assert "service (all pairs)" in capsys.readouterr().out
+        ((upsim, report),) = reports
+        table = component_availabilities(upsim.model)
+        assert report.service_availability == pytest.approx(
+            system_availability_reference(service_path_set_groups(upsim), table),
+            abs=1e-12,
         )
+        assert len(report.pairs) == len(upsim.path_sets)
+        for pair, path_set in zip(report.pairs, upsim.path_sets.values()):
+            assert pair.availability == pytest.approx(
+                pair_availability_reference(pair_path_sets(path_set), table),
+                abs=1e-12,
+            )
 
     def test_unknown_kernel_rejected(self, capsys):
         with pytest.raises(SystemExit):
-            main(["casestudy", "--kernel", "magic"])
-        assert "invalid choice" in capsys.readouterr().err
+            main(["casestudy", "--kernel", "bdd"])
+        assert "unrecognized arguments: --kernel" in capsys.readouterr().err
